@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all ci lint build vet test race bench bench-check bench-diff microbench chaos scenarios-smoke engine-golden jobs-smoke cluster-smoke experiments examples fmt cover clean
+.PHONY: all ci lint build vet test race e2ebench-test bench bench-check bench-diff microbench chaos scenarios-smoke engine-golden jobs-smoke cluster-smoke experiments examples fmt cover clean
 
 all: build vet test
 
 # ci mirrors .github/workflows/ci.yml: lint plus the race detector, which
-# guards the sim cancellation path and the atomic metrics counters.
-ci: build lint race
+# guards the sim cancellation path and the atomic metrics counters, plus
+# the e2ebench module's own vet and tests.
+ci: build lint race e2ebench-test
 
 build:
 	$(GO) build ./...
@@ -29,6 +30,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# e2ebench-test vets and tests the end-to-end benchmark, a module of its own
+# that the root ./... does not reach. It imports the jobs, report, server
+# and cluster APIs, so it breaks when they change.
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # bench emits the engine-throughput artifact (1/4/GOMAXPROCS workers,
 # subject tracing off and on, allocs/op, server cache timings), embedding

@@ -39,9 +39,7 @@ import (
 	"time"
 
 	"hitl/internal/faults"
-	"hitl/internal/report"
 	"hitl/internal/scenario"
-	"hitl/internal/sim"
 	"hitl/internal/store"
 	"hitl/internal/telemetry"
 )
@@ -306,25 +304,19 @@ func NewManager(cfg Config) *Manager {
 	}
 }
 
-// Store returns the manager's persistent tier (nil when memory-only).
-func (m *Manager) Store() *store.Store { return m.cfg.Store }
-
-// SubmitOptions carries the request-level context a job's RunReport needs
-// and the optional fault injection. The zero value is a plain submission.
+// SubmitOptions carries the request-level context of a submission. The
+// zero value is a plain submission.
 type SubmitOptions struct {
-	// Faults, when non-empty, deterministically perturbs every engine run
-	// of the job. The caller must fold the fault spec into the job ID (see
-	// VariantID) so faulted results never alias the clean result of the
-	// same spec in the content-addressed store.
-	Faults *faults.Set
+	// Faults, Degraded and RequestedN are as in ExecOptions. A faulted
+	// submission's job ID must fold in the fault spec (see VariantID), so
+	// faulted results never alias the clean result of the same spec in the
+	// content-addressed store.
+	Faults     *faults.Set
+	Degraded   bool
+	RequestedN int
 	// SpecDigest is the canonical spec digest for the report. Empty means
 	// the job ID is the digest (the unfaulted common case).
 	SpecDigest string
-	// Degraded marks a job admitted under the server's post-shed degraded
-	// mode; RequestedN is the pre-clamp subject count (norm.N already holds
-	// the clamped value the job will run).
-	Degraded   bool
-	RequestedN int
 }
 
 // VariantID derives the job ID for a spec digest plus a fault spec.
@@ -460,34 +452,49 @@ func (m *Manager) loadLocked(digest string) *Job {
 // envelope.
 func synthesize(env *ResultEnvelope, body []byte, meta store.Meta) *Job {
 	j := newJob(env.ID, env.Scenario)
-	total := 1
-	if env.Spec.Sweep != nil {
-		total = len(env.Spec.Sweep.Values)
-	} else if env.Spec.Rounds > 0 {
-		total = env.Spec.Rounds
-	}
+	total := steps(env.Spec)
 	j.state = StateComplete
 	j.done, j.total = total, total
 	j.body, j.meta = body, meta
-	j.events = replayEvents(env, total, meta)
+	j.events = append([]Event{
+		{Type: "status", State: StateRunning, Done: 0, Total: total},
+	}, pointEvents(0, env.Points)...)
+	j.events = append(j.events, finalEvents(env.ID, env.Rounds, env.Trace, meta)...)
 	return j
 }
 
-// replayEvents renders the event log a live run of env would have
-// produced.
-func replayEvents(env *ResultEnvelope, total int, meta store.Meta) []Event {
-	evs := make([]Event, 0, len(env.Points)+len(env.Rounds)+len(env.Trace)+2)
-	evs = append(evs, Event{Type: "status", State: StateRunning, Done: 0, Total: total})
-	for i := range env.Points {
-		evs = append(evs, Event{Type: "point", Index: i, Point: &env.Points[i]})
+// steps is how many progress steps a run of spec reports: one per sweep
+// value or episode round, else one.
+func steps(spec scenario.Spec) int {
+	switch {
+	case spec.Sweep != nil:
+		return len(spec.Sweep.Values)
+	case spec.Rounds > 0:
+		return spec.Rounds
 	}
-	for i := range env.Rounds {
-		evs = append(evs, Event{Type: "round", Index: i, Round: &env.Rounds[i]})
+	return 1
+}
+
+// pointEvents are the events of completed points, the first at index from.
+func pointEvents(from int, pts []scenario.Point) []Event {
+	evs := make([]Event, len(pts))
+	for i := range pts {
+		evs[i] = Event{Type: "point", Index: from + i, Point: &pts[i]}
 	}
-	for i := range env.Trace {
-		evs = append(evs, Event{Type: "trace", Trace: &env.Trace[i]})
+	return evs
+}
+
+// finalEvents close a completed run's log: its rounds, its sampled
+// traces, and done.
+func finalEvents(id string, rounds []scenario.RoundSummary, trace []telemetry.SubjectTrace, meta store.Meta) []Event {
+	evs := make([]Event, 0, len(rounds)+len(trace)+1)
+	for i := range rounds {
+		evs = append(evs, Event{Type: "round", Index: i, Round: &rounds[i]})
 	}
-	return append(evs, Event{Type: "done", ID: env.ID, ETag: meta.ETag()})
+	for i := range trace {
+		evs = append(evs, Event{Type: "trace", Trace: &trace[i]})
+	}
+	return append(evs, Event{Type: "done", ID: id, ETag: meta.ETag()})
 }
 
 // run executes one job on a worker slot.
@@ -498,12 +505,7 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	m.running.Add(1)
 	defer m.running.Add(-1)
 
-	total := 1
-	if norm.Sweep != nil {
-		total = len(norm.Sweep.Values)
-	} else if norm.Rounds > 0 {
-		total = norm.Rounds
-	}
+	total := steps(norm)
 	j.mu.Lock()
 	j.state = StateRunning
 	j.total = total
@@ -517,23 +519,6 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 		ctx, cancel = context.WithTimeout(ctx, m.cfg.Timeout)
 		defer cancel()
 	}
-	var rec *telemetry.Recorder
-	if m.cfg.TraceSample > 0 {
-		rec = telemetry.NewRecorder(m.cfg.TraceSample, norm.Seed)
-		ctx = telemetry.WithRecorder(ctx, rec)
-	}
-	// Every job collects a RunReport: the engine appends one EngineReport
-	// per run, and the metrics delta attributes engine work to this job
-	// (exact on a process running one job at a time, best-effort under
-	// concurrency — the deterministic fields come from the collector, not
-	// the delta).
-	col := sim.NewReportCollector()
-	ctx = sim.WithReportCollector(ctx, col)
-	if opts.Faults != nil && !opts.Faults.Empty() {
-		ctx = sim.WithInjector(ctx, opts.Faults)
-	}
-	before := telemetry.Snapshot()
-
 	// The observer appends each step's points as they complete; sweep
 	// steps run sequentially, so the streamed point order is the final
 	// point order at any engine worker count.
@@ -541,19 +526,36 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	obs := func(done, tot int, pts []scenario.Point) {
 		j.mu.Lock()
 		j.done = done
-		for i := range pts {
-			j.append(Event{Type: "point", Index: index, Point: &pts[i]})
-			index++
-		}
+		j.append(pointEvents(index, pts)...)
+		index += len(pts)
 		j.mu.Unlock()
 	}
-	res, err := scenario.RunObserved(ctx, norm, obs)
+	// Every job collects a RunReport, canonicalized so the persisted bytes
+	// are bit-identical at any worker count (like the result envelope's
+	// zeroed Spec.Workers).
+	exe, err := Execute(ctx, norm, ExecOptions{
+		Faults:      opts.Faults,
+		TraceSample: m.cfg.TraceSample,
+		Report:      true,
+		Degraded:    opts.Degraded,
+		RequestedN:  opts.RequestedN,
+		Observer:    obs,
+	})
+	exe.Report.JobID = j.ID
+	exe.Report.SpecDigest = opts.SpecDigest
+	// An encode failure yields an absent report, never a failed job.
+	reportBody, reportMeta, _ := encode(ReportKey(j.ID), exe.Report.Canonical())
+	trace := exe.Recorder.Traces()
+	var body []byte
+	var meta store.Meta
+	if err == nil {
+		body, meta, err = EncodeResult(j.ID, exe.Result, trace)
+	}
 	if err != nil {
 		m.failed.Add(1)
 		// Failed jobs still explain themselves: the report (with per-run
 		// errors and flags) is attached in memory, just not persisted —
 		// a failed job is replaced by the next submission attempt.
-		reportBody, reportMeta := encodeReport(m.buildReport(j, norm, opts, col, before, "", nil))
 		telemetry.Flight.Record(telemetry.EventJobFailed, j.ID+": "+err.Error())
 		j.mu.Lock()
 		j.state = StateFailed
@@ -563,22 +565,6 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 		j.mu.Unlock()
 		return
 	}
-
-	var trace []telemetry.SubjectTrace
-	if rec != nil {
-		trace = rec.Traces()
-	}
-	body, meta, err := EncodeResult(j.ID, res, trace)
-	if err != nil {
-		m.failed.Add(1)
-		j.mu.Lock()
-		j.state = StateFailed
-		j.err = err
-		j.append(Event{Type: "error", Error: j.err.Error()})
-		j.mu.Unlock()
-		return
-	}
-	reportBody, reportMeta := encodeReport(m.buildReport(j, norm, opts, col, before, res.EnginePath, res.Rounds))
 	if m.cfg.Store != nil {
 		// Persist before announcing completion, so a client that sees
 		// "complete" can always read the result — even across a restart
@@ -603,125 +589,8 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	j.done = total
 	j.body, j.meta = body, meta
 	j.reportBody, j.reportMeta = reportBody, reportMeta
-	evs := make([]Event, 0, len(res.Rounds)+len(trace)+1)
-	for i := range res.Rounds {
-		evs = append(evs, Event{Type: "round", Index: i, Round: &res.Rounds[i]})
-	}
-	for i := range trace {
-		evs = append(evs, Event{Type: "trace", Trace: &trace[i]})
-	}
-	evs = append(evs, Event{Type: "done", ID: j.ID, ETag: meta.ETag()})
-	j.append(evs...)
+	j.append(finalEvents(j.ID, exe.Result.Rounds, trace, meta)...)
 	j.mu.Unlock()
-}
-
-// buildReport assembles the job's RunReport from the engine collector and
-// the request-level context, canonicalized so the persisted bytes are
-// bit-identical at any worker count (like the result envelope's zeroed
-// Spec.Workers).
-func (m *Manager) buildReport(j *Job, norm scenario.Spec, opts SubmitOptions, col *sim.ReportCollector, before telemetry.MetricsSnapshot, enginePath string, rounds []scenario.RoundSummary) report.RunReport {
-	rep := report.FromEngine(col.Reports())
-	rep.JobID = j.ID
-	rep.SpecDigest = opts.SpecDigest
-	rep.Rounds = RoundReports(rounds)
-	rep.Scenario = norm.Scenario
-	if enginePath != "" {
-		// The scenario-level path is authoritative: analytic runs execute
-		// zero engine runs, so the collector alone cannot name them.
-		rep.EnginePath = enginePath
-	}
-	rep.Seed = norm.Seed
-	rep.N = norm.N
-	if opts.Degraded {
-		rep.Degraded = true
-		rep.DegradedClamp = norm.N
-		rep.RequestedN = opts.RequestedN
-	}
-	if opts.Faults != nil && !opts.Faults.Empty() {
-		rep.FaultSpec = opts.Faults.String()
-		for _, st := range opts.Faults.Stats() {
-			rep.FaultRules = append(rep.FaultRules, report.FaultRule{Rule: st.Rule, Fired: st.Fired})
-		}
-	}
-	delta := telemetry.Snapshot().Delta(before)
-	rep.Engine = &delta
-	return rep.Canonical()
-}
-
-// encodeReport renders a report to its wire form plus an in-memory meta;
-// an encode failure yields an absent report, never a failed job.
-func encodeReport(rep report.RunReport) ([]byte, store.Meta) {
-	body, err := rep.MarshalIndented()
-	if err != nil {
-		return nil, store.Meta{}
-	}
-	return body, store.Meta{Key: ReportKey(rep.JobID), SHA256: bodySHA(body), Size: int64(len(body))}
-}
-
-// bodySHA is the hex checksum the store would assign, used for the
-// in-memory meta when no store is configured.
-func bodySHA(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
-}
-
-// EncodeResult renders a completed scenario result as the persisted
-// result envelope — indented JSON with a trailing newline — plus the
-// store metadata (content SHA, size) addressing those bytes under id.
-// It is the single encoding every result-producing path shares: job runs
-// use it before persisting, and the cluster coordinator uses it to store
-// merged results under the parent spec's digest, so a result computed by
-// a worker pool is served byte-identically to one computed locally.
-// RoundReports converts a result's per-round summaries into the report
-// section form (report deliberately doesn't import scenario).
-func RoundReports(rounds []scenario.RoundSummary) []report.RoundReport {
-	if len(rounds) == 0 {
-		return nil
-	}
-	out := make([]report.RoundReport, len(rounds))
-	for i, r := range rounds {
-		out[i] = report.RoundReport{
-			Round:      r.Round,
-			Seed:       r.Seed,
-			Params:     r.Params,
-			Values:     r.Values,
-			EnginePath: r.EnginePath,
-		}
-	}
-	return out
-}
-
-func EncodeResult(id string, res *scenario.Result, trace []telemetry.SubjectTrace) ([]byte, store.Meta, error) {
-	env := ResultEnvelope{
-		ID:       id,
-		Scenario: res.Scenario,
-		Spec:     res.Spec,
-		Engine:   res.EnginePath,
-		Points:   res.Points,
-		Rounds:   res.Rounds,
-		Metrics:  res.Metrics(),
-		Text:     renderText(res),
-		Trace:    trace,
-	}
-	// Workers cannot change results; zeroing it keeps the stored bytes —
-	// and therefore the ETag — identical however the run was parallelized.
-	env.Spec.Workers = 0
-	body, err := json.MarshalIndent(env, "", "  ")
-	if err != nil {
-		return nil, store.Meta{}, fmt.Errorf("jobs: encoding result: %w", err)
-	}
-	body = append(body, '\n')
-	return body, store.Meta{Key: id, SHA256: bodySHA(body), Size: int64(len(body))}, nil
-}
-
-// renderText renders the result table, matching the synchronous endpoint's
-// "text" field.
-func renderText(res *scenario.Result) string {
-	var b strings.Builder
-	if err := res.Table().WriteText(&b); err != nil {
-		return ""
-	}
-	return b.String()
 }
 
 // Drain stops accepting new submissions. In-flight jobs keep running;

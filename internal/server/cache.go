@@ -191,7 +191,7 @@ func (s *Server) serveCached(w http.ResponseWriter, key string) bool {
 // writeCacheableJSON renders v exactly as writeJSON would, stores the body
 // under key (tagged with the engine path that produced it, empty for
 // endpoints without one), and serves it with an X-Cache: miss marker.
-// When the cache is disabled it degrades to a plain 200 JSON write.
+// With the cache disabled or an empty key it is a plain 200 JSON write.
 func (s *Server) writeCacheableJSON(w http.ResponseWriter, key, engine string, v any) {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -1,18 +1,15 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"hitl/internal/cluster"
 	"hitl/internal/jobs"
 	"hitl/internal/report"
 	"hitl/internal/scenario"
-	"hitl/internal/sim"
 )
 
 // Cluster endpoints. Every server is a shard worker: POST
@@ -65,32 +62,14 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	if faultSet != nil {
-		ctx = sim.WithInjector(ctx, faultSet)
-	}
-	res, err := scenario.Run(ctx, norm)
+	exe, err := jobs.Execute(r.Context(), norm, jobs.ExecOptions{Faults: faultSet})
 	if err != nil {
-		switch {
-		case writeSpecErr(w, err):
-		case computeDeadlineExpired(ctx):
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
-		}
+		s.writeComputeErr(w, r, err, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("X-Engine", res.EnginePath)
-	resp := cluster.ResponseFromResult(res, digest, faultSet != nil)
-	if cacheKey != "" {
-		s.writeCacheableJSON(w, cacheKey, res.EnginePath, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp := cluster.ResponseFromResult(exe.Result, digest, faultSet != nil)
+	w.Header().Set("X-Engine", resp.Engine)
+	s.writeCacheableJSON(w, cacheKey, resp.Engine, resp)
 }
 
 // handleClusterRun coordinates a distributed run. The body is the same
@@ -125,25 +104,10 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 
 	res, stats, err := s.coord.Run(r.Context(), norm, opts)
 	if err != nil {
-		switch {
-		case writeSpecErr(w, err):
-		case computeDeadlineExpired(r.Context()):
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusBadGateway, err)
-		}
+		s.writeComputeErr(w, r, err, http.StatusBadGateway)
 		return
 	}
 
-	var text strings.Builder
-	if err := res.Table().WriteText(&text); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
 	w.Header().Set("X-Engine", res.EnginePath)
 	if stats.Partial {
 		w.Header().Set("X-Cluster-Partial", "1")
@@ -161,44 +125,24 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	resp := map[string]any{
-		"scenario": res.Scenario,
-		"spec":     res.Spec,
-		"engine":   res.EnginePath,
-		"points":   res.Points,
-		"metrics":  res.Metrics(),
-		"text":     text.String(),
-		"cluster":  stats,
-	}
-	if len(res.Rounds) > 0 {
-		resp["rounds"] = res.Rounds
-	}
+	resp := newRunResponse(res)
+	resp.Cluster = &stats
 	// ?report=1 attaches a RunReport with the cluster section filled in.
 	// The engine phases ran on remote workers, so only the coordinator's
 	// view is populated.
 	if r.URL.Query().Get("report") == "1" {
-		rep := report.RunReport{
-			Version:    report.ReportVersion,
-			Scenario:   res.Scenario,
-			EnginePath: res.EnginePath,
-			Seed:       norm.Seed,
-			N:          norm.N,
+		rep := jobs.NewReport(norm, res, nil)
+		rep.Partial = stats.Partial
+		rep.Cluster = &report.ClusterReport{
+			Shards:     stats.Shards,
+			Dispatched: stats.Dispatched,
+			Retries:    stats.Retries,
+			Failovers:  stats.Failovers,
+			Nodes:      stats.Nodes,
 			Partial:    stats.Partial,
-			Cluster: &report.ClusterReport{
-				Shards:     stats.Shards,
-				Dispatched: stats.Dispatched,
-				Retries:    stats.Retries,
-				Failovers:  stats.Failovers,
-				Nodes:      stats.Nodes,
-				Partial:    stats.Partial,
-				Missing:    stats.Missing,
-			},
+			Missing:    stats.Missing,
 		}
-		rep.Rounds = jobs.RoundReports(res.Rounds)
-		if digest, derr := scenario.Canonical(norm); derr == nil {
-			rep.SpecDigest = digest
-		}
-		resp["report"] = rep
+		resp.Report = &rep
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

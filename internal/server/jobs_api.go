@@ -8,6 +8,7 @@ import (
 
 	"hitl/internal/jobs"
 	"hitl/internal/scenario"
+	"hitl/internal/store"
 )
 
 // The async job API. A POST /v1/jobs body is a scenario.Spec — validated
@@ -59,15 +60,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// Degraded mode clamps n before canonicalization, so a degraded
 	// submission gets its own digest (and its own stored result) rather
 	// than masquerading as the full-fidelity run of the original spec.
-	requestedN := norm.N
-	degraded := s.overload.degraded()
-	if degraded {
-		if norm.N > s.cfg.DegradedMaxSubjects {
-			norm.N = s.cfg.DegradedMaxSubjects
-		}
-		w.Header().Set("X-Degraded", "subjects-clamped")
-		s.overload.degradedRuns.Add(1)
-	}
+	requestedN, degraded := s.clampDegraded(w, &norm.N)
 	digest, err := scenario.Canonical(norm)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
@@ -144,33 +137,9 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
+// handleJobResult serves a completed job's result envelope.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFromPath(w, r)
-	if !ok {
-		return
-	}
-	body, meta, done := job.Result()
-	if !done {
-		st := job.Status()
-		if st.State == jobs.StateFailed {
-			writeJSON(w, http.StatusInternalServerError, st)
-			return
-		}
-		// Not finished yet: answer with the status snapshot and a retry
-		// hint, so a poller can use one URL for both phases.
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	etag := meta.ETag()
-	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	s.serveJobBody(w, r, (*jobs.Job).Result)
 }
 
 // handleJobReport serves the job's persisted canonical run report: the
@@ -180,20 +149,27 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // counts and wall times zeroed — so the body and its ETag are
 // byte-identical at any engine parallelism and across restarts.
 func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {
+	s.serveJobBody(w, r, (*jobs.Job).Report)
+}
+
+// serveJobBody serves one of a job's stored bodies under its strong ETag,
+// answering If-None-Match with 304. While the body does not exist it
+// answers with the status snapshot: 202 + Retry-After while the job runs,
+// so a poller can use one URL for both phases, and 500 once it failed.
+func (s *Server) serveJobBody(w http.ResponseWriter, r *http.Request, get func(*jobs.Job) ([]byte, store.Meta, bool)) {
 	job, ok := s.jobFromPath(w, r)
 	if !ok {
 		return
 	}
-	body, meta, ok := job.Report()
+	body, meta, ok := get(job)
 	if !ok {
 		st := job.Status()
 		switch st.State {
 		case jobs.StateFailed:
-			// Failed without even an in-memory report (should not happen —
-			// failure builds one — but a replayed pre-report store entry
-			// could get here).
 			writeJSON(w, http.StatusInternalServerError, st)
 		case jobs.StateComplete:
+			// Only a report can be missing from a complete job: one
+			// synthesized from a store written before reports existed.
 			writeErr(w, http.StatusNotFound, errors.New("no report recorded for this job"))
 		default:
 			w.Header().Set("Retry-After", "1")

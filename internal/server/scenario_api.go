@@ -1,18 +1,16 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
+	"hitl/internal/cluster"
 	"hitl/internal/jobs"
 	"hitl/internal/report"
 	"hitl/internal/scenario"
 	_ "hitl/internal/scenario/all" // register the built-in scenarios
-	"hitl/internal/sim"
 	"hitl/internal/telemetry"
 )
 
@@ -113,26 +111,10 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Under sustained overload the server trades fidelity for liveness.
-	degraded := s.overload.degraded()
-	if degraded {
-		if norm.N > s.cfg.DegradedMaxSubjects {
-			norm.N = s.cfg.DegradedMaxSubjects
-		}
-		w.Header().Set("X-Degraded", "subjects-clamped")
-		s.overload.degradedRuns.Add(1)
-	}
-	traceSample := 0
-	if q := r.URL.Query().Get("trace_sample"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid trace_sample %q", q))
-			return
-		}
-		traceSample = v
-		if traceSample > s.cfg.MaxTraceSample {
-			traceSample = s.cfg.MaxTraceSample
-		}
+	requestedN, degraded := s.clampDegraded(w, &norm.N)
+	traceSample, ok := s.traceSampleFromQuery(w, r)
+	if !ok {
+		return
 	}
 	wantSpans := r.URL.Query().Get("spans") == "1"
 	// ?report=1 attaches a full-fidelity run report (real worker counts and
@@ -150,96 +132,95 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	if faultSet != nil {
-		ctx = sim.WithInjector(ctx, faultSet)
-	}
-	var rec *telemetry.Recorder
-	if traceSample > 0 {
-		rec = telemetry.NewRecorder(traceSample, norm.Seed)
-		ctx = telemetry.WithRecorder(ctx, rec)
-	}
 	tracer := telemetry.NewTracer(nil)
-	ctx = telemetry.WithTracer(ctx, tracer)
-	var col *sim.ReportCollector
-	var before telemetry.MetricsSnapshot
-	if wantReport {
-		col = sim.NewReportCollector()
-		ctx = sim.WithReportCollector(ctx, col)
-		before = telemetry.Snapshot()
-	}
-
-	res, err := scenario.Run(ctx, norm)
+	exe, err := jobs.Execute(telemetry.WithTracer(r.Context(), tracer), norm, jobs.ExecOptions{
+		Faults:      faultSet,
+		TraceSample: traceSample,
+		Report:      wantReport,
+		Degraded:    degraded,
+		RequestedN:  requestedN,
+	})
 	if err != nil {
-		switch {
-		case writeSpecErr(w, err):
-		case computeDeadlineExpired(ctx):
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
-		}
+		s.writeComputeErr(w, r, err, http.StatusInternalServerError)
 		return
 	}
-	var text strings.Builder
-	if err := res.Table().WriteText(&text); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
+	resp := newRunResponse(exe.Result)
 	// X-Engine reports which engine path answered (interpreted, compiled,
 	// or analytic) — diagnostic only: interpreted and compiled bodies are
 	// bit-identical, and analytic specs always resolve analytic.
-	w.Header().Set("X-Engine", res.EnginePath)
-	// spec echoes the normalized spec the run actually executed — n in
-	// particular may have been clamped by degraded mode.
-	resp := map[string]any{
-		"scenario": res.Scenario,
-		"spec":     res.Spec,
-		"engine":   res.EnginePath,
-		"points":   res.Points,
-		"metrics":  res.Metrics(),
-		"text":     text.String(),
-	}
-	if len(res.Rounds) > 0 {
-		resp["rounds"] = res.Rounds
-	}
-	if rec != nil {
-		resp["trace"] = rec.Traces()
-	}
+	w.Header().Set("X-Engine", resp.Engine)
+	resp.Trace = exe.Recorder.Traces()
 	if wantSpans {
-		resp["spans"] = tracer.Spans()
+		resp.Spans = tracer.Spans()
 	}
-	if wantReport {
-		rep := report.FromEngine(col.Reports())
-		rep.Scenario = res.Scenario
-		rep.EnginePath = res.EnginePath
-		rep.Seed = norm.Seed
-		rep.N = norm.N
-		if digest, derr := scenario.Canonical(norm); derr == nil {
-			rep.SpecDigest = digest
-		}
-		if degraded {
-			rep.Degraded = true
-			rep.DegradedClamp = norm.N
-		}
-		if faultSet != nil {
-			rep.FaultSpec = faultSet.String()
-			for _, st := range faultSet.Stats() {
-				rep.FaultRules = append(rep.FaultRules, report.FaultRule{Rule: st.Rule, Fired: st.Fired})
-			}
-		}
-		rep.Cache = "bypass"
-		rep.Rounds = jobs.RoundReports(res.Rounds)
-		delta := telemetry.Snapshot().Delta(before)
-		rep.Engine = &delta
-		resp["report"] = rep
+	if exe.Report != nil {
+		exe.Report.Cache = "bypass"
+		resp.Report = exe.Report
 	}
-	if cacheKey != "" {
-		s.writeCacheableJSON(w, cacheKey, res.EnginePath, resp)
-		return
+	s.writeCacheableJSON(w, cacheKey, resp.Engine, resp)
+}
+
+// runResponse is the body of /v1/scenarios/run and /v1/cluster/run. Its
+// fields are in alphabetical order, and the optional ones are omitted when
+// empty.
+type runResponse struct {
+	Cluster  *cluster.RunStats        `json:"cluster,omitempty"`
+	Engine   string                   `json:"engine"`
+	Metrics  map[string]float64       `json:"metrics"`
+	Points   []scenario.Point         `json:"points"`
+	Report   *report.RunReport        `json:"report,omitempty"`
+	Rounds   []scenario.RoundSummary  `json:"rounds,omitempty"`
+	Scenario string                   `json:"scenario"`
+	Spans    []telemetry.SpanRecord   `json:"spans,omitempty"`
+	Spec     scenario.Spec            `json:"spec"`
+	Text     string                   `json:"text"`
+	Trace    []telemetry.SubjectTrace `json:"trace,omitempty"`
+}
+
+// newRunResponse renders a result into the response body. Spec echoes the
+// normalized spec the run actually executed — n in particular may have
+// been clamped by degraded mode.
+func newRunResponse(res *scenario.Result) *runResponse {
+	return &runResponse{
+		Engine:   res.EnginePath,
+		Metrics:  res.Metrics(),
+		Points:   res.Points,
+		Rounds:   res.Rounds,
+		Scenario: res.Scenario,
+		Spec:     res.Spec,
+		Text:     res.Table().String(),
 	}
-	writeJSON(w, http.StatusOK, resp)
+}
+
+// clampDegraded caps *n at the degraded subject limit while the server is
+// in degraded mode (n <= 0, a run's default size, is capped too), marking
+// the response X-Degraded. It returns the count asked for and whether the
+// server is degraded.
+func (s *Server) clampDegraded(w http.ResponseWriter, n *int) (requested int, degraded bool) {
+	requested = *n
+	if !s.overload.degraded() {
+		return requested, false
+	}
+	if *n <= 0 || *n > s.cfg.DegradedMaxSubjects {
+		*n = s.cfg.DegradedMaxSubjects
+	}
+	w.Header().Set("X-Degraded", "subjects-clamped")
+	s.overload.degradedRuns.Add(1)
+	return requested, true
+}
+
+// traceSampleFromQuery parses ?trace_sample=K, the number of per-subject
+// stage traces to inline (capped by MaxTraceSample; 0 when absent).
+// ok=false means a 400 has been written.
+func (s *Server) traceSampleFromQuery(w http.ResponseWriter, r *http.Request) (int, bool) {
+	q := r.URL.Query().Get("trace_sample")
+	if q == "" {
+		return 0, true
+	}
+	v, err := strconv.Atoi(q)
+	if err != nil || v < 1 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid trace_sample %q", q))
+		return 0, false
+	}
+	return min(v, s.cfg.MaxTraceSample), true
 }

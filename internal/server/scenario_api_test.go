@@ -276,6 +276,21 @@ func TestScenarioRunDegraded(t *testing.T) {
 		t.Errorf("degraded n = %d, want clamp to 40", body.Spec.N)
 	}
 
+	// The run report records both sides of the clamp.
+	respRep := postJSON(t, ts.URL+"/v1/scenarios/run?report=1",
+		map[string]any{"scenario": "password", "seed": 2, "n": 5000})
+	var withReport struct {
+		Report struct {
+			Degraded      bool `json:"degraded"`
+			RequestedN    int  `json:"requested_n"`
+			DegradedClamp int  `json:"degraded_clamp"`
+		} `json:"report"`
+	}
+	decodeBody(t, respRep, &withReport)
+	if rep := withReport.Report; !rep.Degraded || rep.RequestedN != 5000 || rep.DegradedClamp != 40 {
+		t.Errorf("degraded report = %+v, want degraded, requested_n=5000, degraded_clamp=40", rep)
+	}
+
 	srv.overload.lastShedNano.Store(0) // leave degraded mode
 	resp2 := postJSON(t, ts.URL+"/v1/scenarios/run",
 		map[string]any{"scenario": "password", "seed": 2, "n": 5000})

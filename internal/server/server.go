@@ -340,10 +340,22 @@ func (s *Server) WaitJobs(ctx context.Context) error { return s.jobs.Wait(ctx) }
 // apart from a client that went away (499).
 const computeDeadlineKey ctxKey = 1
 
-// computeDeadlineExpired reports whether ctx carries the compute deadline
-// and that deadline has passed.
-func computeDeadlineExpired(ctx context.Context) bool {
-	return ctx.Value(computeDeadlineKey) != nil && errors.Is(ctx.Err(), context.DeadlineExceeded)
+// writeComputeErr maps a failed run to its response: a spec error is 400
+// with the field's path, an expired compute deadline 503 (a capacity
+// signal), a client that went away 499, and anything else fallback.
+func (s *Server) writeComputeErr(w http.ResponseWriter, r *http.Request, err error, fallback int) {
+	ctx := r.Context()
+	switch {
+	case writeSpecErr(w, err):
+	case ctx.Value(computeDeadlineKey) != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
+		s.overload.deadlineExpired.Add(1)
+		writeErr(w, http.StatusServiceUnavailable,
+			fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		writeErr(w, statusClientClosedRequest, err)
+	default:
+		writeErr(w, fallback, err)
+	}
 }
 
 // limited wraps a compute handler with admission control and the
@@ -736,29 +748,13 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	// Under sustained overload the server trades fidelity for liveness:
 	// subject counts are clamped until the degraded window clears. n=0
 	// (experiment default, often the largest run) is clamped too.
-	degraded := s.overload.degraded()
-	if degraded {
-		if req.N == 0 || req.N > s.cfg.DegradedMaxSubjects {
-			req.N = s.cfg.DegradedMaxSubjects
-		}
-		w.Header().Set("X-Degraded", "subjects-clamped")
-		s.overload.degradedRuns.Add(1)
+	_, degraded := s.clampDegraded(w, &req.N)
+	traceSample, ok := s.traceSampleFromQuery(w, r)
+	if !ok {
+		return
 	}
-	// ?trace_sample=K samples up to K per-subject stage traces into the
-	// response (capped by MaxTraceSample); ?spans=1 returns the request's
-	// span tree. Span durations always feed /v1/metrics.
-	traceSample := 0
-	if q := r.URL.Query().Get("trace_sample"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid trace_sample %q", q))
-			return
-		}
-		traceSample = v
-		if traceSample > s.cfg.MaxTraceSample {
-			traceSample = s.cfg.MaxTraceSample
-		}
-	}
+	// ?spans=1 returns the request's span tree; span durations always
+	// feed /v1/metrics.
 	wantSpans := r.URL.Query().Get("spans") == "1"
 
 	// Runs are deterministic in (id, seed, n), so identical requests can be
@@ -789,19 +785,10 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	ctx = telemetry.WithTracer(ctx, tracer)
 	out, err := experiments.Run(ctx, req.ID, experiments.Config{Seed: req.Seed, N: req.N})
 	if err != nil {
-		switch {
-		case errors.Is(err, experiments.ErrUnknown):
+		if errors.Is(err, experiments.ErrUnknown) {
 			writeErr(w, http.StatusNotFound, err)
-		case computeDeadlineExpired(ctx):
-			// The server's own compute deadline expired — a capacity
-			// signal (503), not a client disconnect (499).
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
+		} else {
+			s.writeComputeErr(w, r, err, http.StatusInternalServerError)
 		}
 		return
 	}
@@ -829,9 +816,5 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	if wantSpans {
 		resp["spans"] = tracer.Spans()
 	}
-	if cacheKey != "" {
-		s.writeCacheableJSON(w, cacheKey, "", resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeCacheableJSON(w, cacheKey, "", resp)
 }

@@ -14,8 +14,9 @@
 // harmless). Reads verify length and checksum; a corrupt entry is deleted
 // and reported as ErrCorrupt so callers fall back to recompute.
 //
-// The store itself is the cold tier. Callers are expected to front it with
-// an in-memory LRU (the server uses its result cache) and to use Meta.ETag
+// The store itself is the cold tier. The job manager's in-memory job table
+// fronts it (the server's result cache holds sync response bodies, which
+// are different bytes, and never reads the store). Callers use Meta.ETag
 // for HTTP conditional requests: the ETag is the hex sha256 of the body,
 // so it is stable across restarts and across replicas that computed the
 // same spec.
