@@ -10,7 +10,7 @@
 // With no -id it runs the full suite in order. Output is plain text,
 // suitable for diffing against EXPERIMENTS.md. -trace samples per-subject
 // stage traces across every Monte Carlo run into a JSONL file; -spans dumps
-// the experiment/sweep-point/run/worker-batch span tree as JSON. Neither
+// the experiment/scenario/run/worker-batch span tree as JSON. Neither
 // changes the regenerated numbers. -faults applies a deterministic fault
 // spec (see internal/faults) to every run — useful for chaos drills and
 // sensitivity checks; faulted output no longer matches EXPERIMENTS.md.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"hitl/internal/scenario"
-	"hitl/internal/sim"
 	"hitl/internal/telemetry"
 )
 
@@ -266,79 +266,50 @@ func (c *Coordinator) NodeStates() map[string]string {
 // single-node run of spec — regardless of pool size, shard count,
 // retries, or failovers — because every shard simulates its global
 // subject subrange under the engine's (seed, subject index) contract.
+//
+// An episodic spec runs through the scenario layer's episode loop, with
+// each round — a complete, round-free spec — sharded across the workers
+// exactly like a standalone run; RunStats then sums the rounds' shard
+// accounting. Partial completion is refused for episodes with a spec
+// error: a round with missing shards would feed the adaptive policy
+// different aggregates and silently change every later round.
 func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, opts RunOptions) (*scenario.Result, RunStats, error) {
 	norm, err := scenario.Normalize(spec)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	if norm.Rounds > 0 {
-		return c.runEpisode(ctx, norm, opts)
-	}
-	return c.runSharded(ctx, norm, opts)
-}
-
-// runEpisode executes an episodic spec across the pool: rounds run
-// sequentially (round r+1's parameters depend on round r's aggregates),
-// and each round — a complete, round-free spec — is sharded across the
-// workers exactly like a standalone run, so the merged round result is
-// bit-identical to a single-node run of that round's RoundSpec. Partial
-// completion is refused: a round with missing shards would feed the
-// adaptive policy different aggregates and silently change every later
-// round.
-func (c *Coordinator) runEpisode(ctx context.Context, norm scenario.Spec, opts RunOptions) (*scenario.Result, RunStats, error) {
-	if opts.AllowPartial {
-		return nil, RunStats{}, fmt.Errorf("cluster: episodic runs cannot be partial (a short round would change every later round)")
-	}
-	pol, err := scenario.EpisodePolicy(norm)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	res := &scenario.Result{Scenario: norm.Scenario, Spec: norm}
-	total := RunStats{Rounds: norm.Rounds, Nodes: make(map[string]int)}
-	ep := sim.Episode{
-		Seed:   norm.Seed,
-		Rounds: norm.Rounds,
-		Policy: pol,
-		Run: func(ctx context.Context, round int, seed int64, params sim.RoundParams) (sim.RoundAggregate, error) {
-			rspec, err := scenario.RoundSpec(norm, round, params)
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
+	var (
+		res   *scenario.Result
+		stats RunStats
+	)
+	if norm.Rounds == 0 {
+		res, stats, err = c.runSharded(ctx, norm, opts)
+	} else {
+		if opts.AllowPartial {
+			return nil, RunStats{}, &scenario.SpecError{Field: "rounds",
+				Err: errors.New("episodic runs cannot be partial (a short round would change every later round)")}
+		}
+		stats = RunStats{Rounds: norm.Rounds, Nodes: make(map[string]int)}
+		res, err = scenario.RunEpisode(ctx, norm, nil, func(ctx context.Context, rspec scenario.Spec) (*scenario.Result, error) {
 			rres, rstats, err := c.runSharded(ctx, rspec, opts)
 			if err != nil {
-				return sim.RoundAggregate{}, err
+				return nil, err
 			}
-			total.Shards += rstats.Shards
-			total.Dispatched += rstats.Dispatched
-			total.Retries += rstats.Retries
-			total.Failovers += rstats.Failovers
+			stats.Shards += rstats.Shards
+			stats.Dispatched += rstats.Dispatched
+			stats.Retries += rstats.Retries
+			stats.Failovers += rstats.Failovers
 			for node, n := range rstats.Nodes {
-				total.Nodes[node] += n
+				stats.Nodes[node] += n
 			}
-			sum := scenario.SummarizeRound(rres)
-			sum.Round = round
-			sum.Seed = seed
-			sum.Params = params
-			res.EnginePath = foldPath(res.EnginePath, rres.EnginePath)
-			res.Rounds = append(res.Rounds, sum)
-			res.Points = append(res.Points, scenario.LabelRound(round, rres.Points)...)
-			return sum.RoundAggregate, nil
-		},
+			return rres, nil
+		})
 	}
-	if _, err := ep.Play(ctx); err != nil {
-		return nil, total, err
+	if err != nil {
+		return nil, stats, err
 	}
-	telemetry.RecordClusterRun(false)
-	return res, total, nil
-}
-
-// foldPath mirrors the scenario layer's engine-path folding: equal paths
-// keep their name, differing rounds report "mixed".
-func foldPath(acc, path string) string {
-	if acc == "" || acc == path {
-		return path
-	}
-	return "mixed"
+	telemetry.RecordClusterRun(stats.Partial)
+	return res, stats, nil
 }
 
 // runSharded executes one round-free normalized spec across the pool.
@@ -425,7 +396,6 @@ func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, opts R
 	if err != nil {
 		return nil, stats, err
 	}
-	telemetry.RecordClusterRun(stats.Partial)
 	return merged, stats, nil
 }
 

@@ -438,3 +438,27 @@ func TestProbeTracksWorkerHealth(t *testing.T) {
 		t.Error("no node-recovered flight event on rejoin")
 	}
 }
+
+// TestClusterEpisodeCountedOnce: an episodic run dispatches every round
+// through the pool but is one coordinated run, so hitl_cluster_runs_total
+// moves by exactly one.
+func TestClusterEpisodeCountedOnce(t *testing.T) {
+	workers := []string{newWorker(t, quietServerConfig(), nil).URL, newWorker(t, quietServerConfig(), nil).URL}
+	coord := newCoord(t, workers, nil)
+	spec := readExample(t, "phishing-adaptive-campaign.json")
+	if spec.Rounds != 4 {
+		t.Fatalf("example spec has %d rounds, want 4", spec.Rounds)
+	}
+
+	before := metricValue(t, "hitl_cluster_runs_total")
+	res, stats, err := coord.Run(context.Background(), spec, cluster.RunOptions{})
+	if err != nil {
+		t.Fatalf("cluster run: %v (%s)", err, stats)
+	}
+	if len(res.Rounds) != 4 || stats.Rounds != 4 {
+		t.Fatalf("ran %d rounds (stats %d), want 4", len(res.Rounds), stats.Rounds)
+	}
+	if got := metricValue(t, "hitl_cluster_runs_total") - before; got != 1 {
+		t.Errorf("hitl_cluster_runs_total moved by %v for one 4-round run, want 1", got)
+	}
+}

@@ -139,8 +139,7 @@ func Registry() []Runner {
 // Run executes one experiment by ID. Unknown IDs yield an error wrapping
 // ErrUnknown; a canceled ctx yields an error wrapping ctx.Err(). When ctx
 // carries a telemetry.Tracer, the experiment runs under an "experiment"
-// span that parents every sweep-point and run span the engine opens below
-// it.
+// span that parents every scenario and run span opened below it.
 func Run(ctx context.Context, id string, cfg Config) (*Output, error) {
 	for _, r := range Registry() {
 		if r.ID == id {

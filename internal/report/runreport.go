@@ -136,9 +136,9 @@ const ReportVersion = 1
 
 // FromEngine aggregates the engine runs a sim.ReportCollector gathered
 // into one RunReport. Seed and worker fields are taken from the first
-// engine run (sweep points derive their seeds from it); flags and stage
-// counts fold across all runs order-independently, so a parallel sweep
-// yields the same report as a serial one.
+// engine run; flags and stage counts fold across all runs
+// order-independently, so the report does not depend on the order in
+// which the collector saw the runs.
 func FromEngine(runs []sim.EngineReport) RunReport {
 	r := RunReport{Version: ReportVersion, EngineRuns: len(runs)}
 	for i, er := range runs {
@@ -161,7 +161,6 @@ func FromEngine(runs []sim.EngineReport) RunReport {
 		}
 		r.TimedOut = r.TimedOut || er.TimedOut
 		r.Canceled = r.Canceled || er.Canceled
-		r.Partial = r.Partial || er.Partial
 		r.PanicRecovered = r.PanicRecovered || er.PanicRecovered
 		if er.Error != "" {
 			r.Errors = append(r.Errors, er.Error)

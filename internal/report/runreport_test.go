@@ -17,7 +17,7 @@ func TestFromEngineAggregates(t *testing.T) {
 			StageFailures: map[string]int{"comprehension": 3, "attention-switch": 1},
 		},
 		{
-			Seed: 8, N: 100, Completed: 60, Partial: true, TimedOut: true,
+			Seed: 8, N: 100, Completed: 60, TimedOut: true,
 			Phases:        sim.PhaseTimes{ComputeSeconds: 0.5},
 			StageFailures: map[string]int{"comprehension": 2},
 			Error:         "sim: run timed out",
@@ -37,7 +37,7 @@ func TestFromEngineAggregates(t *testing.T) {
 	if !reflect.DeepEqual(r.StageFailures, want) {
 		t.Errorf("stage failures = %v, want %v", r.StageFailures, want)
 	}
-	if !r.Partial || !r.TimedOut || r.Canceled || r.PanicRecovered {
+	if r.Partial || !r.TimedOut || r.Canceled || r.PanicRecovered {
 		t.Errorf("flags = %+v", r)
 	}
 	if len(r.Errors) != 1 || r.Errors[0] != "sim: run timed out" {

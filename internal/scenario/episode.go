@@ -14,11 +14,12 @@ import (
 
 // This file is the scenario layer's episode support: specs with a
 // "rounds" count (and optionally an "adapt" block naming an adaptive
-// policy) run as a deterministic multi-round game over the engine-level
-// sim.Episode loop. Every round is itself a complete, ordinary spec run:
-// RoundSpec materializes round r as a standalone Spec with its own
-// canonical digest, so a round can be cached, sharded across a cluster,
-// or re-run by hand — and is bit-identical in every case.
+// policy) run as a deterministic multi-round game through RunEpisode, the
+// one episode loop behind local and cluster runs. Every round is itself a
+// complete, ordinary spec run: RoundSpec materializes round r as a
+// standalone Spec with its own canonical digest, so a round can be
+// cached, sharded across a cluster, or re-run by hand — and is
+// bit-identical in every case.
 
 // AdaptSpec selects and configures an adaptive policy in a spec's
 // "adapt" block.
@@ -169,10 +170,10 @@ func RoundSpec(norm Spec, round int, overrides sim.RoundParams) (Spec, error) {
 	return out, nil
 }
 
-// EpisodePolicy compiles a normalized spec's adapt block into the
+// episodePolicy compiles a normalized spec's adapt block into the
 // engine-level policy function; a nil adapt block yields a nil policy
 // (no adaptation: every round runs the base parameters).
-func EpisodePolicy(norm Spec) (sim.AdaptivePolicy, error) {
+func episodePolicy(norm Spec) (sim.AdaptivePolicy, error) {
 	if norm.Adapt == nil {
 		return nil, nil
 	}
@@ -194,20 +195,9 @@ type RoundSummary struct {
 	EnginePath string `json:"engine_path,omitempty"`
 }
 
-// SummarizeRound folds one round's result into the aggregate the
-// adaptive policy (and reports) see: the round's flattened metrics.
-// Shared by the local episode loop and the cluster coordinator so both
-// feed policies identical inputs.
-func SummarizeRound(rres *Result) RoundSummary {
-	return RoundSummary{
-		RoundAggregate: sim.RoundAggregate{Values: rres.Metrics()},
-		EnginePath:     rres.EnginePath,
-	}
-}
-
-// LabelRound prefixes a round's point labels with the round index. It
-// copies rather than mutating, so callers can keep the unlabeled points.
-func LabelRound(round int, pts []Point) []Point {
+// labelRound prefixes a round's point labels with the round index. It
+// copies rather than mutating the round's own result.
+func labelRound(round int, pts []Point) []Point {
 	out := append([]Point(nil), pts...)
 	for i := range out {
 		if out[i].Label == "" {
@@ -219,51 +209,62 @@ func LabelRound(round int, pts []Point) []Point {
 	return out
 }
 
-// runEpisode executes a normalized episodic spec: norm.Rounds sequential
-// rounds, each a complete standalone spec run, with parameters adapted
-// between rounds by the spec's policy. The observer (when non-nil) fires
-// once per completed round with that round's labeled points, so job
-// streams surface per-round aggregates as they land.
-func runEpisode(ctx context.Context, norm Spec, obs Observer) (*Result, error) {
-	pol, err := EpisodePolicy(norm)
+// RunEpisode executes a normalized episodic spec: norm.Rounds sequential
+// rounds — round r+1's parameters depend on round r's aggregates — with
+// parameters adapted between rounds by the spec's policy. round executes
+// one round-free spec (RoundSpec's output) and returns its result: local
+// runs pass Run, and the cluster coordinator passes its sharded dispatch,
+// so both feed the policy identical inputs and assemble identical
+// results. The observer (when non-nil) fires once per completed round
+// with that round's labeled points, so job streams surface per-round
+// aggregates as they land. A failed round fails the episode; the error
+// names the round.
+func RunEpisode(ctx context.Context, norm Spec, obs Observer, round func(context.Context, Spec) (*Result, error)) (*Result, error) {
+	if norm.Rounds < 1 {
+		return nil, fmt.Errorf("scenario: RunEpisode on a non-episodic spec")
+	}
+	pol, err := episodePolicy(norm)
 	if err != nil {
 		return nil, err
 	}
 	spanCtx, span := telemetry.StartSpan(ctx, "episode",
 		telemetry.String("name", norm.Scenario))
 	defer span.End()
-
-	res := &Result{Scenario: norm.Scenario, Spec: norm}
-	ep := sim.Episode{
-		Seed:   norm.Seed,
-		Rounds: norm.Rounds,
-		Policy: pol,
-		Run: func(ctx context.Context, round int, seed int64, params sim.RoundParams) (sim.RoundAggregate, error) {
-			rspec, err := RoundSpec(norm, round, params)
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
-			rres, err := Run(ctx, rspec)
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
-			sum := SummarizeRound(rres)
-			sum.Round = round
-			sum.Seed = seed
-			sum.Params = params
-			res.EnginePath = foldEnginePath(res.EnginePath, rres.EnginePath)
-			res.Rounds = append(res.Rounds, sum)
-			pts := LabelRound(round, rres.Points)
-			res.Points = append(res.Points, pts...)
-			if obs != nil {
-				obs(round+1, norm.Rounds, pts)
-			}
-			return sum.RoundAggregate, nil
-		},
-	}
-	if _, err := ep.Play(spanCtx); err != nil {
+	fail := func(err error) (*Result, error) {
 		span.SetAttr("error", err.Error())
 		return nil, fmt.Errorf("scenario %s: %w", norm.Scenario, err)
+	}
+
+	res := &Result{Scenario: norm.Scenario, Spec: norm}
+	history := make([]sim.RoundAggregate, 0, norm.Rounds)
+	for r := 0; r < norm.Rounds; r++ {
+		if err := spanCtx.Err(); err != nil {
+			return fail(err)
+		}
+		var params sim.RoundParams
+		if pol != nil {
+			params = pol(r, history)
+		}
+		rspec, err := RoundSpec(norm, r, params)
+		if err != nil {
+			return fail(fmt.Errorf("episode round %d: %w", r, err))
+		}
+		rres, err := round(spanCtx, rspec)
+		if err != nil {
+			return fail(fmt.Errorf("episode round %d: %w", r, err))
+		}
+		sum := RoundSummary{
+			RoundAggregate: sim.RoundAggregate{Round: r, Seed: rspec.Seed, Params: params, Values: rres.Metrics()},
+			EnginePath:     rres.EnginePath,
+		}
+		res.EnginePath = foldEnginePath(res.EnginePath, rres.EnginePath)
+		res.Rounds = append(res.Rounds, sum)
+		history = append(history, sum.RoundAggregate)
+		pts := labelRound(r, rres.Points)
+		res.Points = append(res.Points, pts...)
+		if obs != nil {
+			obs(r+1, norm.Rounds, pts)
+		}
 	}
 	span.SetAttr("engine", res.EnginePath)
 	return res, nil

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hitl/internal/scenario"
@@ -95,13 +96,57 @@ func TestEpisodeRoundStandaloneRerun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d standalone: %v", r, err)
 		}
-		want := scenario.LabelRound(r, alone.Points)
+		want := append([]scenario.Point(nil), alone.Points...)
+		for i := range want {
+			want[i].Label = fmt.Sprintf("round-%d %s", r, want[i].Label)
+		}
 		if !reflect.DeepEqual(want, full.Points[r:r+1]) {
 			t.Errorf("round %d standalone points differ from the episode's", r)
 		}
 		if got := alone.Metrics(); !reflect.DeepEqual(got, sum.Values) {
 			t.Errorf("round %d standalone metrics %v, want recorded aggregate %v", r, got, sum.Values)
 		}
+	}
+}
+
+// TestRunEpisodeRoundErrorStopsEpisode drives the episode loop with a
+// round function that fails at round 2 of 5: the loop must stop there
+// (rounds 0-2 ran, nothing after), name the failed round in an error that
+// wraps the round's own, and return no partial result.
+func TestRunEpisodeRoundErrorStopsEpisode(t *testing.T) {
+	spec := adaptiveSpec()
+	spec.Rounds = 5
+	norm, err := scenario.Normalize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	var seeds []int64
+	observed := 0
+	res, err := scenario.RunEpisode(context.Background(), norm,
+		func(done, total int, pts []scenario.Point) { observed++ },
+		func(ctx context.Context, rspec scenario.Spec) (*scenario.Result, error) {
+			seeds = append(seeds, rspec.Seed)
+			if len(seeds) == 3 {
+				return nil, boom
+			}
+			return scenario.Run(ctx, rspec)
+		})
+	if res != nil {
+		t.Errorf("result = %+v, want nil after a failed round", res)
+	}
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want it to wrap the round's error", err)
+	}
+	if !strings.Contains(err.Error(), "round 2") {
+		t.Errorf("err = %q, want it to name round 2", err)
+	}
+	want := []int64{sim.RoundSeed(norm.Seed, 0), sim.RoundSeed(norm.Seed, 1), sim.RoundSeed(norm.Seed, 2)}
+	if !reflect.DeepEqual(seeds, want) {
+		t.Errorf("rounds ran with seeds %v, want rounds 0-2 %v", seeds, want)
+	}
+	if observed != 2 {
+		t.Errorf("observer fired %d times, want once per completed round (2)", observed)
 	}
 }
 

@@ -336,7 +336,7 @@ func RunObserved(ctx context.Context, spec Spec, obs Observer) (*Result, error) 
 		return nil, err
 	}
 	if norm.Rounds > 0 {
-		return runEpisode(ctx, norm, obs)
+		return RunEpisode(ctx, norm, obs, Run)
 	}
 	sc, err := Get(norm.Scenario)
 	if err != nil {

@@ -272,6 +272,37 @@ func TestClusterRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterRunPartialEpisodeRefused: ?partial=1 can never apply to an
+// episodic spec, so the coordinator refuses it as a bad request (400 with
+// the field) before dispatching a single shard — not as a retryable
+// upstream failure.
+func TestClusterRunPartialEpisodeRefused(t *testing.T) {
+	w1 := httptest.NewServer(New(quietConfig()))
+	defer w1.Close()
+	cfg := quietConfig()
+	cfg.Cluster = cluster.Config{Workers: []string{w1.URL}, ProbeInterval: -1}
+	ts := httptest.NewServer(New(cfg))
+	defer ts.Close()
+	defer ts.Config.Handler.(*Server).Close()
+
+	body := map[string]any{"scenario": "phishing-adaptive-campaign", "n": 40, "seed": 3, "rounds": 2}
+	before := fetchMetric(t, ts.URL, "hitl_cluster_shards_dispatched_total")
+	resp := postJSON(t, ts.URL+"/v1/cluster/run?partial=1", body)
+	var out struct {
+		Field string `json:"field"`
+	}
+	decodeBody(t, resp, &out)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("partial episodic cluster run: %d, want 400", resp.StatusCode)
+	}
+	if out.Field != "rounds" {
+		t.Errorf("error field = %q, want rounds", out.Field)
+	}
+	if got := fetchMetric(t, ts.URL, "hitl_cluster_shards_dispatched_total"); got != before {
+		t.Errorf("hitl_cluster_shards_dispatched_total moved %v -> %v for a refused run", before, got)
+	}
+}
+
 func TestClusterRunWithoutPool(t *testing.T) {
 	ts := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/v1/cluster/run", shardSpecBody())

@@ -1,17 +1,12 @@
 package sim
 
-import (
-	"context"
-	"fmt"
-)
-
-// This file is the engine-level episode loop: a deterministic multi-round
-// game between an adapting attacker and the simulated population. Each
-// round is one ordinary engine run — bit-identical at any worker count,
-// shardable within the round through the WithSubjectOffset/MergeResults
-// contract — and the only state that crosses rounds is the aggregate
-// summaries the policy sees. Rounds are sequential by construction: round
-// r+1's parameters depend on round r's aggregates.
+// This file holds the engine-level vocabulary of multi-round episodes: a
+// deterministic game between an adapting attacker and the simulated
+// population. Each round is one ordinary engine run — bit-identical at any
+// worker count, shardable within the round through the
+// WithSubjectOffset/MergeResults contract — and the only state that
+// crosses rounds is the aggregate summaries the policy sees. The loop that
+// sequences the rounds lives in the scenario layer (scenario.RunEpisode).
 
 // RoundParams is the attacker-controlled parameter overrides for one
 // round, keyed by scenario parameter name.
@@ -38,59 +33,12 @@ type RoundAggregate struct {
 type AdaptivePolicy func(round int, prev []RoundAggregate) RoundParams
 
 // RoundSeed derives round r's engine seed from the episode's master seed.
-// The stride constant is disjoint from the sweep-point stride (1_000_003)
-// and the scenario-layer strides, so episode rounds never collide with
-// sweep points of the same master seed.
+// Scenario sweep steps offset the master seed additively (Seed + i*stride,
+// with the per-parameter strides and scenario.DefaultSweepStride); round
+// seeds instead go through splitmix64 at index 2_000_003+r, so they do not
+// line up with the sweep steps of the same master seed. The stride is part
+// of every recorded episode's identity: changing it would change every
+// round seed, so it stays fixed.
 func RoundSeed(seed int64, round int) int64 {
 	return splitmix64(seed, 2_000_003+round)
-}
-
-// RoundRunner executes one round as a normal engine run: it receives the
-// round index, the round seed, and the policy's overrides, and returns
-// the aggregate the policy (and the episode's caller) sees. The runner
-// owns engine choice, sharding, and result collection; Episode only owns
-// the loop and the determinism bookkeeping.
-type RoundRunner func(ctx context.Context, round int, seed int64, params RoundParams) (RoundAggregate, error)
-
-// Episode is a deterministic R-round adaptive run.
-type Episode struct {
-	// Seed is the master seed; round r runs under RoundSeed(Seed, r).
-	Seed int64
-	// Rounds is the round count R (must be >= 1).
-	Rounds int
-	// Policy produces each round's parameter overrides; nil means no
-	// adaptation (every round runs the base parameters).
-	Policy AdaptivePolicy
-	// Run executes one round.
-	Run RoundRunner
-}
-
-// Play runs the episode's rounds sequentially and returns every round's
-// aggregate in order.
-func (e Episode) Play(ctx context.Context) ([]RoundAggregate, error) {
-	if e.Rounds < 1 {
-		return nil, fmt.Errorf("sim: episode needs at least 1 round, got %d", e.Rounds)
-	}
-	if e.Run == nil {
-		return nil, fmt.Errorf("sim: episode has no round runner")
-	}
-	history := make([]RoundAggregate, 0, e.Rounds)
-	for r := 0; r < e.Rounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return history, err
-		}
-		var params RoundParams
-		if e.Policy != nil {
-			params = e.Policy(r, history)
-		}
-		agg, err := e.Run(ctx, r, RoundSeed(e.Seed, r), params)
-		if err != nil {
-			return history, fmt.Errorf("sim: episode round %d: %w", r, err)
-		}
-		agg.Round = r
-		agg.Seed = RoundSeed(e.Seed, r)
-		agg.Params = params
-		history = append(history, agg)
-	}
-	return history, nil
 }

@@ -22,8 +22,8 @@ type PhaseTimes struct {
 	MergeSeconds   float64 `json:"merge_seconds"`
 }
 
-// add accumulates phase times across engine runs (sweeps fold many runs
-// into one report).
+// add accumulates phase times across engine runs (sweeps and episodes
+// fold many runs into one report).
 func (p *PhaseTimes) add(q PhaseTimes) {
 	p.SetupSeconds += q.SetupSeconds
 	p.ComputeSeconds += q.ComputeSeconds
@@ -46,7 +46,7 @@ type EngineReport struct {
 	Path string `json:"path,omitempty"`
 	Seed int64  `json:"seed"`
 	// N is the configured subject count; Completed is how many subjects
-	// were actually aggregated (less than N only for partial runs).
+	// were aggregated (N for a finished run, 0 for a failed one).
 	N         int `json:"n"`
 	Completed int `json:"completed"`
 	// RequestedWorkers is Runner.Workers as configured (0 = GOMAXPROCS);
@@ -57,7 +57,6 @@ type EngineReport struct {
 	StageFailures    map[string]int `json:"stage_failures,omitempty"`
 	TimedOut         bool           `json:"timed_out,omitempty"`
 	Canceled         bool           `json:"canceled,omitempty"`
-	Partial          bool           `json:"partial,omitempty"`
 	PanicRecovered   bool           `json:"panic_recovered,omitempty"`
 	Error            string         `json:"error,omitempty"`
 }
@@ -80,8 +79,8 @@ func (c *ReportCollector) add(r EngineReport) {
 }
 
 // Reports returns a copy of the collected engine reports in collection
-// order. Parallel sweeps may interleave; callers that need determinism
-// aggregate order-independently.
+// order. Runs that share a collector concurrently may interleave; callers
+// that need determinism aggregate order-independently.
 func (c *ReportCollector) Reports() []EngineReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -97,71 +97,20 @@ func TestRunTimeout(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return Outcome{Heeded: true}, nil
 	}
-	res, err := Runner{Seed: 4, N: 10000, Workers: 2, Timeout: 30 * time.Millisecond}.Run(context.Background(), slow)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	res, err := Runner{Seed: 4, N: 10000, Workers: 2}.Run(ctx, slow)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if res != nil {
-		t.Errorf("res = %+v, want nil without AllowPartial", res)
+		t.Errorf("res = %+v, want nil: a timed-out run keeps no partial result", res)
 	}
 	waitGoroutines(t, baseline)
 }
 
-func TestRunTimeoutPartialResult(t *testing.T) {
-	slow := func(rng *rand.Rand, i int) (Outcome, error) {
-		time.Sleep(2 * time.Millisecond)
-		return Outcome{Heeded: i%2 == 0, FailedStage: 0}, nil
-	}
-	ru := Runner{Seed: 5, N: 10000, Workers: 2, Timeout: 30 * time.Millisecond, AllowPartial: true}
-	res, err := ru.Run(context.Background(), slow)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded alongside the partial result", err)
-	}
-	if res == nil {
-		t.Fatal("res = nil, want partial aggregation")
-	}
-	if res.Completed <= 0 || res.Completed >= res.N {
-		t.Errorf("Completed = %d, want 0 < Completed < %d", res.Completed, res.N)
-	}
-	if res.Heed.Trials != res.Completed {
-		t.Errorf("Heed.Trials = %d, want Completed = %d", res.Heed.Trials, res.Completed)
-	}
-	if res.N != 10000 {
-		t.Errorf("N = %d, want the configured 10000", res.N)
-	}
-}
-
-func TestRunCancelPartialResult(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var once bool
-	slow := func(rng *rand.Rand, i int) (Outcome, error) {
-		if !once {
-			once = true
-			close(started)
-		}
-		time.Sleep(time.Millisecond)
-		return Outcome{Heeded: true}, nil
-	}
-	go func() {
-		<-started
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	res, err := Runner{Seed: 6, N: 100000, Workers: 1, AllowPartial: true}.Run(ctx, slow)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil || res.Completed == 0 {
-		t.Fatalf("res = %+v, want partial aggregation with Completed > 0", res)
-	}
-	if res.Completed >= res.N {
-		t.Errorf("Completed = %d, want < N", res.Completed)
-	}
-}
-
 func TestRunSubjectErrorFatalEvenWithAllowPartial(t *testing.T) {
-	ru := Runner{Seed: 7, N: 100, Workers: 2, AllowPartial: true}
+	ru := Runner{Seed: 7, N: 100, Workers: 2}
 	res, err := ru.Run(context.Background(), func(rng *rand.Rand, i int) (Outcome, error) {
 		if i == 50 {
 			return Outcome{}, errors.New("scenario bug")
@@ -169,7 +118,7 @@ func TestRunSubjectErrorFatalEvenWithAllowPartial(t *testing.T) {
 		return Outcome{Heeded: true}, nil
 	})
 	if res != nil {
-		t.Errorf("res = %+v, want nil: subject errors are fatal regardless of AllowPartial", res)
+		t.Errorf("res = %+v, want nil: subject errors are fatal", res)
 	}
 	if err == nil || !strings.Contains(err.Error(), "subject 50") {
 		t.Errorf("err = %v, want subject 50 error", err)
@@ -190,7 +139,9 @@ func TestRunCompletedFullRun(t *testing.T) {
 
 func TestRunTimeoutDoesNotFirePrematurely(t *testing.T) {
 	// A generous deadline must not disturb a fast run.
-	res, err := Runner{Seed: 9, N: 200, Timeout: time.Minute}.Run(context.Background(), func(rng *rand.Rand, i int) (Outcome, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := Runner{Seed: 9, N: 200}.Run(ctx, func(rng *rand.Rand, i int) (Outcome, error) {
 		return Outcome{Heeded: true}, nil
 	})
 	if err != nil {

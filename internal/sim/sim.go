@@ -106,8 +106,8 @@ type Result struct {
 	N int
 	// Completed is the number of subjects actually simulated and
 	// aggregated. It equals N for a run that finished; it is smaller only
-	// for the partial result of a canceled or timed-out run under
-	// Runner.AllowPartial. Heed.Trials always equals Completed.
+	// for a merged cover that is missing shards (see MergeResults).
+	// Heed.Trials always equals Completed.
 	Completed int
 	// Heed is the heed/compliance proportion.
 	Heed stats.Proportion
@@ -211,41 +211,15 @@ type Runner struct {
 	// cannot add parallelism, only scheduler overhead. Results are
 	// deterministic regardless of Workers.
 	Workers int
-	// SweepWorkers is how many sweep points Sweep runs concurrently;
-	// 0 or 1 means serial. Each point's subject parallelism is divided
-	// down so the total number of subject goroutines stays at most the
-	// resolved Workers. Points are independently seeded, so sweep results
-	// are bit-identical regardless of SweepWorkers.
-	SweepWorkers int
-	// SweepLabeler, when non-nil, formats SweepPoint.Label during Sweep;
-	// the default label is fmt.Sprintf("%g", param).
-	SweepLabeler func(param float64) string
-	// Timeout, when positive, bounds each Run call's wall time. An expired
-	// run is canceled exactly like a caller deadline and returns an error
-	// wrapping context.DeadlineExceeded (or a partial result under
-	// AllowPartial). During a Sweep every point gets the full budget.
-	Timeout time.Duration
-	// AllowPartial opts into keeping finished work when a run is canceled
-	// or times out: instead of discarding the aggregation, Run returns the
-	// subjects completed so far (Result.Completed < N, Heed.Trials ==
-	// Completed) alongside the cancellation error. Subject errors and
-	// contained panics remain fatal regardless.
-	AllowPartial bool
-	// Tag, when set, is attached to the subject loop's pprof labels
-	// (hitl_tag) alongside the engine path and phase, so CPU profiles can
-	// attribute samples to a specific run — callers put the spec digest or
-	// scenario name here. An empty Tag falls back to the tag attached to
-	// the run's context (WithRunTag). It does not affect results.
-	Tag string
 }
 
 type runTagKey struct{}
 
 // WithRunTag attaches a pprof run tag to the context: every engine run
-// under it labels its subject-loop CPU samples hitl_tag=tag (unless the
-// Runner sets its own Tag). The scenario layer puts the canonical spec
-// digest here, so profiles attribute samples to specific runs even when
-// the Runner is constructed deep inside a domain package.
+// under it labels its subject-loop CPU samples hitl_tag=tag. The scenario
+// layer puts the canonical spec digest here, so profiles attribute samples
+// to specific runs even when the Runner is constructed deep inside a
+// domain package.
 func WithRunTag(ctx context.Context, tag string) context.Context {
 	if tag == "" {
 		return ctx
@@ -274,7 +248,6 @@ type valueObs struct {
 // subject into their own shard, so the post-run reduce only merges
 // len(workers) shards instead of walking an N-sized outcome slice.
 type shard struct {
-	completed     int
 	heedSuccesses int
 	spoofed       int
 	heuristic     int
@@ -287,7 +260,6 @@ type shard struct {
 }
 
 func (sh *shard) add(subject int, o Outcome) {
-	sh.completed++
 	if o.Heeded {
 		sh.heedSuccesses++
 	} else {
@@ -347,17 +319,16 @@ func containPanic(subject int, err *error) {
 	}
 }
 
-// aggregate merges the worker shards into a Result. completed is the total
-// subject count folded into the shards; for a finished run it equals ru.N.
-func (ru Runner) aggregate(shards []shard, completed int) *Result {
+// aggregate merges the worker shards of a finished run into a Result.
+func (ru Runner) aggregate(shards []shard) *Result {
 	res := &Result{
 		N:             ru.N,
-		Completed:     completed,
+		Completed:     ru.N,
 		StageFailures: make(map[agent.Stage]int),
 		ErrorClasses:  make(map[gems.ErrorClass]int),
 		Values:        make(map[string][]float64),
 	}
-	res.Heed.Trials = completed
+	res.Heed.Trials = ru.N
 	mergedValues := make(map[string][]valueObs)
 	for w := range shards {
 		sh := &shards[w]
@@ -393,14 +364,13 @@ func (ru Runner) aggregate(shards []shard, completed int) *Result {
 // Run honors ctx: each worker checks for cancellation before starting the
 // next subject, so an in-flight run stops within one subject per worker of
 // the cancel and returns ctx.Err() (use errors.Is with context.Canceled or
-// context.DeadlineExceeded to distinguish abandonment from real failures).
-// Runner.Timeout adds a per-run deadline with the same semantics. The first
-// subject error likewise cancels the remaining work — a fatal failure does
-// not let the other workers churn through all N subjects. A panicking
-// subject is contained: the run fails with a *PanicError (lowest panicking
-// subject wins) instead of taking the process down. Under AllowPartial a
-// canceled or timed-out run returns the partial aggregation alongside the
-// error instead of discarding finished work. A nil ctx is treated as
+// context.DeadlineExceeded to distinguish abandonment from real failures);
+// a per-run deadline is a context deadline. The first subject error
+// likewise cancels the remaining work — a fatal failure does not let the
+// other workers churn through all N subjects. A panicking subject is
+// contained: the run fails with a *PanicError (lowest panicking subject
+// wins) instead of taking the process down. A canceled run discards its
+// finished work and returns no Result. A nil ctx is treated as
 // context.Background().
 //
 // Fault injection: when ctx carries an Injector (WithInjector), it runs
@@ -464,16 +434,9 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource 
 	offset := SubjectOffsetFromContext(ctx)
 	start := time.Now()
 
-	// deadlineCtx layers the per-run deadline (Runner.Timeout) over the
-	// caller's context; runCtx additionally lets the first subject error
-	// cancel the remaining work without affecting either.
-	deadlineCtx := spanCtx
-	if ru.Timeout > 0 {
-		var cancelDeadline context.CancelFunc
-		deadlineCtx, cancelDeadline = context.WithTimeout(spanCtx, ru.Timeout)
-		defer cancelDeadline()
-	}
-	runCtx, cancel := context.WithCancel(deadlineCtx)
+	// runCtx lets the first subject error cancel the remaining work
+	// without affecting the caller's context.
+	runCtx, cancel := context.WithCancel(spanCtx)
 	defer cancel()
 
 	shards := make([]shard, workers)
@@ -487,11 +450,7 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource 
 	// path and tag. Label sets are per-goroutine state, so each worker
 	// applies them once around its whole batch — per-run cost, not
 	// per-subject.
-	tag := ru.Tag
-	if tag == "" {
-		tag = RunTagFromContext(ctx)
-	}
-	labels := pprof.Labels("hitl_engine", path, "hitl_phase", "subjects", "hitl_tag", tag)
+	labels := pprof.Labels("hitl_engine", path, "hitl_phase", "subjects", "hitl_tag", RunTagFromContext(ctx))
 	setupEnd := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -556,9 +515,8 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource 
 	// Report the failure with the lowest subject index, as the old
 	// subject-indexed error slice did. Contained panics arrive here as
 	// *PanicError and win or lose by the same subject-order rule. Subject
-	// errors are always fatal — even under AllowPartial, even if the
-	// deadline also expired — because they signal a scenario bug, not an
-	// abandoned run.
+	// errors win even if the context was also canceled, because they
+	// signal a scenario bug, not an abandoned run.
 	var subjectErr error
 	errSubject := -1
 	for w := range shards {
@@ -583,39 +541,18 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource 
 		}
 		return nil, err
 	}
-	// Distinguish the remaining ways the run can end early. The caller's
-	// ctx is checked first (abandonment beats everything), then the per-run
-	// deadline; the internal cancel() after a subject error trips neither.
-	cancelErr := ctx.Err()
-	if cancelErr == nil && ru.Timeout > 0 {
-		cancelErr = deadlineCtx.Err()
-	}
-	if cancelErr != nil {
-		if !ru.AllowPartial {
-			span.SetAttr("outcome", "canceled")
-			if col != nil {
-				col.add(ru.engineReport(path, workers, phases, nil, cancelErr))
-			}
-			return nil, cancelErr
-		}
-		completed := 0
-		for w := range shards {
-			completed += shards[w].completed
-		}
-		span.SetAttr("outcome", "partial")
-		span.SetAttr("completed", strconv.Itoa(completed))
-		mergeStart := time.Now()
-		res := ru.aggregate(shards, completed)
-		phases.MergeSeconds = time.Since(mergeStart).Seconds()
-		recordRun(res, workers, time.Since(start))
+	// The internal cancel() after a subject error does not trip ctx, so a
+	// canceled ctx here means the caller abandoned the run.
+	if err := ctx.Err(); err != nil {
+		span.SetAttr("outcome", "canceled")
 		if col != nil {
-			col.add(ru.engineReport(path, workers, phases, res, cancelErr))
+			col.add(ru.engineReport(path, workers, phases, nil, err))
 		}
-		return res, cancelErr
+		return nil, err
 	}
 
 	mergeStart := time.Now()
-	res := ru.aggregate(shards, ru.N)
+	res := ru.aggregate(shards)
 	phases.MergeSeconds = time.Since(mergeStart).Seconds()
 	recordRun(res, workers, time.Since(start))
 	if col != nil {
@@ -625,8 +562,8 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource 
 }
 
 // engineReport builds the collector entry for one finished or failed run.
-// res is nil when the run produced no aggregation (fatal subject error, or
-// cancellation without AllowPartial).
+// res is nil when the run produced no aggregation (fatal subject error or
+// cancellation).
 func (ru Runner) engineReport(path string, workers int, phases PhaseTimes, res *Result, runErr error) EngineReport {
 	er := EngineReport{
 		Path:             path,
@@ -638,7 +575,6 @@ func (ru Runner) engineReport(path string, workers int, phases PhaseTimes, res *
 	}
 	if res != nil {
 		er.Completed = res.Completed
-		er.Partial = res.Completed < res.N
 		if len(res.StageFailures) > 0 {
 			er.StageFailures = stageFailureNames(res)
 		}
@@ -653,7 +589,7 @@ func (ru Runner) engineReport(path string, workers int, phases PhaseTimes, res *
 	return er
 }
 
-// recordRun folds a finished (or partial) aggregation into the
+// recordRun folds a finished aggregation into the
 // process-wide engine metrics.
 func recordRun(res *Result, workers int, elapsed time.Duration) {
 	telemetry.RecordRun(res.Completed, workers, elapsed, stageFailureNames(res))
@@ -667,132 +603,6 @@ func stageFailureNames(res *Result) map[string]int {
 		stageFailures[s.String()] = n
 	}
 	return stageFailures
-}
-
-// SweepPoint is one parameter setting's aggregated result.
-type SweepPoint struct {
-	// Param is the swept parameter value.
-	Param float64
-	// Label is an optional display label for the point.
-	Label string
-	// Result is the aggregated run at this setting.
-	Result *Result
-}
-
-// Sweep runs the runner once per parameter value, building the scenario
-// via build. Each point uses a distinct derived seed so points are
-// independent but the whole sweep is reproducible. Point labels come from
-// the runner's SweepLabeler, defaulting to fmt.Sprintf("%g", param).
-// Cancellation via ctx aborts between subjects exactly as in Run; the
-// error then wraps ctx.Err().
-//
-// When SweepWorkers > 1, up to that many points run concurrently, each
-// with its subject parallelism divided down so the total goroutine count
-// stays at most the resolved Workers. Because points are independently
-// seeded and Run is deterministic for any worker count, the sweep result
-// is bit-identical to a serial sweep; only wall-clock changes. The first
-// failing point (lowest index) determines the returned error.
-func (ru Runner) Sweep(ctx context.Context, params []float64, build func(param float64) SubjectFunc) ([]SweepPoint, error) {
-	if len(params) == 0 {
-		return nil, fmt.Errorf("sim: empty parameter sweep")
-	}
-	if build == nil {
-		return nil, fmt.Errorf("sim: nil scenario constructor")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	points := make([]SweepPoint, len(params))
-	runPoint := func(ctx context.Context, i int, workers int) error {
-		p := params[i]
-		sub := ru
-		sub.Seed = splitmix64(ru.Seed, 1_000_003+i)
-		sub.Workers = workers
-		pointCtx, span := telemetry.StartSpan(ctx, "sweep-point",
-			telemetry.String("param", fmt.Sprintf("%g", p)))
-		res, err := sub.Run(pointCtx, build(p))
-		span.End()
-		if err != nil {
-			return fmt.Errorf("sim: sweep point %v: %w", p, err)
-		}
-		label := fmt.Sprintf("%g", p)
-		if ru.SweepLabeler != nil {
-			label = ru.SweepLabeler(p)
-		}
-		points[i] = SweepPoint{Param: p, Label: label, Result: res}
-		return nil
-	}
-
-	maxWorkers := EffectiveWorkers(ru.Workers, 0)
-	sweepWorkers := ru.SweepWorkers
-	if sweepWorkers > len(params) {
-		sweepWorkers = len(params)
-	}
-	if sweepWorkers > maxWorkers {
-		sweepWorkers = maxWorkers
-	}
-	if sweepWorkers <= 1 {
-		for i := range params {
-			if err := runPoint(ctx, i, ru.Workers); err != nil {
-				return nil, err
-			}
-		}
-		return points, nil
-	}
-
-	perPoint := maxWorkers / sweepWorkers
-	sweepCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(params))
-	sem := make(chan struct{}, sweepWorkers)
-	var wg sync.WaitGroup
-	for i := range params {
-		select {
-		case sem <- struct{}{}:
-		case <-sweepCtx.Done():
-		}
-		if sweepCtx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := runPoint(sweepCtx, i, perPoint); err != nil {
-				errs[i] = err
-				cancel() // a failed point stops the remaining points promptly
-			}
-		}(i)
-	}
-	wg.Wait()
-	// Prefer the lowest-index point that failed for a reason other than our
-	// internal cancellation, mirroring the serial error order; fall back to
-	// any error (e.g. the caller's ctx was canceled).
-	var firstErr error
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return points, nil
 }
 
 // SortedStages returns the stages observed in the result's failure

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -127,58 +126,6 @@ func TestFromAgentResult(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	params := []float64{0.1, 0.5, 0.9}
-	points, err := Runner{Seed: 7, N: 5000}.Sweep(context.Background(), params, func(p float64) SubjectFunc {
-		return coinFlip(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("got %d points", len(points))
-	}
-	for i, pt := range points {
-		if pt.Param != params[i] {
-			t.Errorf("point %d param = %v, want %v", i, pt.Param, params[i])
-		}
-		r := pt.Result.HeedRate()
-		if r < pt.Param-0.05 || r > pt.Param+0.05 {
-			t.Errorf("point %v heed rate %v", pt.Param, r)
-		}
-	}
-	if _, err := (Runner{Seed: 7, N: 10}).Sweep(context.Background(), nil, func(float64) SubjectFunc { return coinFlip(0.5) }); err == nil {
-		t.Error("empty sweep: want error")
-	}
-	if _, err := (Runner{Seed: 7, N: 10}).Sweep(context.Background(), params, nil); err == nil {
-		t.Error("nil builder: want error")
-	}
-}
-
-func TestSweepPointsIndependentSeeds(t *testing.T) {
-	points, err := Runner{Seed: 9, N: 500}.Sweep(context.Background(), []float64{0.5, 0.5}, func(p float64) SubjectFunc {
-		return coinFlip(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0].Result.Heed == points[1].Result.Heed {
-		t.Log("identical heed counts for identical params is possible but suspicious with different seeds")
-	}
-	// Re-running the whole sweep reproduces it exactly.
-	again, err := Runner{Seed: 9, N: 500}.Sweep(context.Background(), []float64{0.5, 0.5}, func(p float64) SubjectFunc {
-		return coinFlip(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		if points[i].Result.Heed != again[i].Result.Heed {
-			t.Errorf("sweep not reproducible at point %d", i)
-		}
-	}
-}
-
 func TestRunCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -219,42 +166,6 @@ func TestRunCancelMidFlight(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("cancellation took %v, want prompt return", d)
-	}
-}
-
-func TestSweepLabels(t *testing.T) {
-	params := []float64{0.25, 0.5}
-	points, err := Runner{Seed: 7, N: 50}.Sweep(context.Background(), params, func(p float64) SubjectFunc {
-		return coinFlip(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0].Label != "0.25" || points[1].Label != "0.5" {
-		t.Errorf("default labels = %q, %q; want %%g formatting", points[0].Label, points[1].Label)
-	}
-	ru := Runner{Seed: 7, N: 50, SweepLabeler: func(p float64) string {
-		return fmt.Sprintf("p=%.0f%%", p*100)
-	}}
-	points, err = ru.Sweep(context.Background(), params, func(p float64) SubjectFunc {
-		return coinFlip(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0].Label != "p=25%" || points[1].Label != "p=50%" {
-		t.Errorf("custom labels = %q, %q", points[0].Label, points[1].Label)
-	}
-}
-
-func TestSweepCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Runner{Seed: 7, N: 10}.Sweep(ctx, []float64{0.5}, func(p float64) SubjectFunc {
-		return coinFlip(p)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want wrapped context.Canceled", err)
 	}
 }
 
@@ -379,56 +290,5 @@ func TestRunAgentBitIdenticalAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(base, res) {
 			t.Errorf("agent-pipeline Result differs at workers=%d", workers)
 		}
-	}
-}
-
-// TestSweepParallelMatchesSerial locks the sweep determinism contract:
-// SweepWorkers > 1 must produce bit-identical points to the serial sweep,
-// because every point derives its seed from the point index alone.
-func TestSweepParallelMatchesSerial(t *testing.T) {
-	params := []float64{0.2, 0.4, 0.6, 0.8}
-	sweep := func(sweepWorkers int) []SweepPoint {
-		points, err := Runner{Seed: 77, N: 800, Workers: 4, SweepWorkers: sweepWorkers}.
-			Sweep(context.Background(), params, func(p float64) SubjectFunc {
-				return func(rng *rand.Rand, i int) (Outcome, error) {
-					out := Outcome{Values: map[string]float64{"idx": float64(i)}}
-					if rng.Float64() < p {
-						out.Heeded = true
-						out.FailedStage = agent.StageNone
-					} else {
-						out.FailedStage = agent.StageAttentionSwitch
-					}
-					return out, nil
-				}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return points
-	}
-	serial := sweep(0)
-	for _, sw := range []int{2, 4, 16} {
-		parallel := sweep(sw)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("SweepWorkers=%d: points differ from serial sweep", sw)
-		}
-	}
-}
-
-// TestSweepParallelPropagatesError checks the lowest-index real error wins
-// even when later points are canceled by the sweep's internal context.
-func TestSweepParallelPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Runner{Seed: 5, N: 50, SweepWorkers: 3}.
-		Sweep(context.Background(), []float64{0, 1, 2}, func(p float64) SubjectFunc {
-			return func(rng *rand.Rand, i int) (Outcome, error) {
-				if p == 1 && i == 10 {
-					return Outcome{}, boom
-				}
-				return Outcome{Heeded: true, FailedStage: agent.StageNone}, nil
-			}
-		})
-	if !errors.Is(err, boom) {
-		t.Errorf("parallel sweep error = %v, want boom", err)
 	}
 }

@@ -222,27 +222,3 @@ func TestRunSpans(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepSpans: sweep points open their own spans parenting the runs.
-func TestSweepSpans(t *testing.T) {
-	tr := telemetry.NewTracer(nil)
-	ctx := telemetry.WithTracer(context.Background(), tr)
-	_, err := (Runner{Seed: 3, N: 50}).Sweep(ctx, []float64{0.2, 0.8}, func(p float64) SubjectFunc {
-		return coinFlip(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, runs := 0, 0
-	for _, s := range tr.Spans() {
-		switch s.Name {
-		case "sweep-point":
-			points++
-		case "run":
-			runs++
-		}
-	}
-	if points != 2 || runs != 2 {
-		t.Errorf("got %d sweep-point and %d run spans, want 2 and 2", points, runs)
-	}
-}

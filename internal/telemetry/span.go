@@ -25,7 +25,7 @@ type SpanRecord struct {
 	// ID and Parent link the span tree; Parent is 0 for roots.
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
-	// Name identifies the operation (experiment, sweep-point, run,
+	// Name identifies the operation (experiment, scenario, episode, run,
 	// worker-batch, ...).
 	Name string `json:"name"`
 	// Start is the span's start time from the tracer's clock.
