@@ -6,10 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -76,19 +75,14 @@ func (e *shardError) nodeSuspect() bool {
 // client is the coordinator's HTTP client: one shard POST or health GET
 // per call, classification of every failure, and the backoff schedule —
 // exponential with full-ish jitter, overridden by a server-advertised
-// Retry-After on 429/503 sheds.
+// Retry-After on 429/503 sheds. Per-attempt deadlines come from the
+// caller's timeout, so the http.Client is a plain one.
 type client struct {
 	hc *http.Client
-
-	mu  sync.Mutex
-	rng *rand.Rand // jitter source; scheduling-only, never affects results
 }
 
-func newClient(hc *http.Client) *client {
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	return &client{hc: hc, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
+func newClient() *client {
+	return &client{hc: &http.Client{}}
 }
 
 // postShard executes one shard attempt against node within timeout.
@@ -188,9 +182,9 @@ func (c *client) backoff(attempt int, base, max, hint time.Duration) time.Durati
 	if d > max || d <= 0 {
 		d = max
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
+	// The jitter is scheduling-only and never affects results, so it
+	// draws from the shared, concurrency-safe top-level generator.
+	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
 // parseRetryAfter reads a Retry-After header in either HTTP form:

@@ -19,7 +19,7 @@ func testSpec() scenario.Spec {
 }
 
 func TestBackoffHonorsRetryAfter(t *testing.T) {
-	c := newClient(nil)
+	c := newClient()
 	base, max := 100*time.Millisecond, 5*time.Second
 
 	// Header present: the server's hint wins over the schedule.
@@ -99,7 +99,7 @@ func TestPostShardClassifiesFailures(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(tc.handler)
 			defer ts.Close()
-			c := newClient(nil)
+			c := newClient()
 			_, err := c.postShard(context.Background(), ts.URL, ShardRequest{Spec: testSpec()}, time.Second)
 			se, ok := err.(*shardError)
 			if !ok {
@@ -117,7 +117,7 @@ func TestPostShardClassifiesFailures(t *testing.T) {
 	// Transport failure: nobody listening.
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	c := newClient(nil)
+	c := newClient()
 	_, err := c.postShard(context.Background(), dead.URL, ShardRequest{Spec: testSpec()}, time.Second)
 	if se, ok := err.(*shardError); !ok || se.kind != errTransport || !se.nodeSuspect() {
 		t.Errorf("dead node error = %v, want transport-kind shardError", err)

@@ -33,18 +33,10 @@ type Config struct {
 	// disables background probing (dispatch errors still mark nodes
 	// unhealthy, but only ProbeNow can recover them).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe; default 2s.
-	ProbeTimeout time.Duration
-	// Replicas is the virtual-node count per worker on the placement
-	// ring; default 64.
-	Replicas int
-	// MaxConcurrent caps in-flight shards across the pool; default
-	// 2×len(Workers), at least 4.
-	MaxConcurrent int
-	// Client is the HTTP client used for shards and probes; default a
-	// plain http.Client (per-attempt deadlines come from ShardTimeout).
-	Client *http.Client
 }
+
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
 
 func (c *Config) setDefaults() {
 	if c.ShardTimeout == 0 {
@@ -61,15 +53,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 5 * time.Second
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 2 * len(c.Workers)
-		if c.MaxConcurrent < 4 {
-			c.MaxConcurrent = 4
-		}
 	}
 }
 
@@ -141,14 +124,14 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Workers[i] = w
 	}
 	cfg.setDefaults()
-	r, err := newRing(cfg.Workers, cfg.Replicas)
+	r, err := newRing(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
 		cfg:    cfg,
 		ring:   r,
-		client: newClient(cfg.Client),
+		client: newClient(),
 		nodes:  make(map[string]*node, len(cfg.Workers)),
 		stop:   make(chan struct{}),
 	}
@@ -197,7 +180,7 @@ func (c *Coordinator) ProbeNow(ctx context.Context) {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
-			h, status, err := c.client.health(ctx, n.url, c.cfg.ProbeTimeout)
+			h, status, err := c.client.health(ctx, n.url, probeTimeout)
 			switch {
 			case err != nil:
 				c.markUnhealthy(n, false, err.Error())
@@ -339,7 +322,7 @@ func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, opts R
 	var (
 		mu  sync.Mutex // guards stats
 		wg  sync.WaitGroup
-		sem = make(chan struct{}, c.cfg.MaxConcurrent)
+		sem = make(chan struct{}, max(4, 2*len(c.cfg.Workers))) // two in-flight shards per worker, at least 4
 	)
 	for i := range shardSpecs {
 		wg.Add(1)

@@ -25,17 +25,14 @@ type ring struct {
 	nodes  []string
 }
 
-// defaultReplicas is the virtual-node count per worker: enough to keep
+// replicas is the virtual-node count per worker: enough to keep
 // per-worker load within a few percent of even for small pools, cheap
 // enough that ring construction is microseconds.
-const defaultReplicas = 64
+const replicas = 64
 
-func newRing(nodes []string, replicas int) (*ring, error) {
+func newRing(nodes []string) (*ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
-	}
-	if replicas < 1 {
-		replicas = defaultReplicas
 	}
 	seen := make(map[string]bool, len(nodes))
 	r := &ring{}

@@ -7,7 +7,7 @@ import (
 
 func TestRingSequenceProperties(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c", "http://d"}
-	r, err := newRing(nodes, 0)
+	r, err := newRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +28,8 @@ func TestRingSequenceProperties(t *testing.T) {
 
 func TestRingPlacementStable(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c"}
-	r1, _ := newRing(nodes, 0)
-	r2, _ := newRing(nodes, 0)
+	r1, _ := newRing(nodes)
+	r2, _ := newRing(nodes)
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("digest-%d", i)
 		a, b := r1.sequence(key), r2.sequence(key)
@@ -44,8 +44,8 @@ func TestRingPlacementStable(t *testing.T) {
 func TestRingRemovalOnlyMovesVictimsShards(t *testing.T) {
 	all := []string{"http://a", "http://b", "http://c", "http://d"}
 	without := []string{"http://a", "http://b", "http://d"}
-	rAll, _ := newRing(all, 0)
-	rLess, _ := newRing(without, 0)
+	rAll, _ := newRing(all)
+	rLess, _ := newRing(without)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("digest-%d", i)
 		before := rAll.sequence(key)[0]
@@ -62,7 +62,7 @@ func TestRingRemovalOnlyMovesVictimsShards(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c"}
-	r, _ := newRing(nodes, 0)
+	r, _ := newRing(nodes)
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -78,10 +78,10 @@ func TestRingSpreadsLoad(t *testing.T) {
 }
 
 func TestRingErrors(t *testing.T) {
-	if _, err := newRing(nil, 0); err == nil {
+	if _, err := newRing(nil); err == nil {
 		t.Error("empty ring: want error")
 	}
-	if _, err := newRing([]string{"http://a", "http://a"}, 0); err == nil {
+	if _, err := newRing([]string{"http://a", "http://a"}); err == nil {
 		t.Error("duplicate node: want error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"hitl/internal/faults"
 	"hitl/internal/report"
@@ -163,7 +164,9 @@ func encode(key string, v any) ([]byte, store.Meta, error) {
 	if err != nil {
 		return nil, store.Meta{}, err
 	}
-	body = append(body, '\n')
+	// Concat copies to the exact size: MarshalIndent's buffer holds twice
+	// the compact length, and a job keeps this body for its lifetime.
+	body = slices.Concat(body, []byte("\n"))
 	sum := sha256.Sum256(body)
 	return body, store.Meta{Key: key, SHA256: hex.EncodeToString(sum[:]), Size: int64(len(body))}, nil
 }

@@ -22,7 +22,9 @@
 // Streaming is an event log per job: every state change, completed point,
 // and sampled trace appends an Event, and any number of subscribers replay
 // the log from the start and then follow it live. The server renders the
-// log as chunked JSONL.
+// log as chunked JSONL. A completed job keeps its result body but not its
+// log: Watch rebuilds the log from the body, the way a restart rebuilds it
+// from the store, so the job table holds one copy of each result.
 package jobs
 
 import (
@@ -140,7 +142,7 @@ type Job struct {
 	body       []byte
 	reportBody []byte
 	reportMeta store.Meta
-	events     []Event
+	events     []Event       // the live log; nil once complete (see Watch)
 	updated    chan struct{} // closed and replaced on every append/state change
 }
 
@@ -211,15 +213,27 @@ func (j *Job) append(evs ...Event) {
 // Watch returns the events from index `from` onward, plus a channel that
 // closes on the next change and whether the log is finished (terminal
 // state reached and every event returned). Subscribers loop: drain,
-// then wait on the channel (or their context) when not finished.
+// then wait on the channel (or their context) when not finished. A
+// complete job's log is decoded from its body, outside the lock; it is
+// the live log event for event, so a follower's offset stays valid.
 func (j *Job) Watch(from int) (evs []Event, changed <-chan struct{}, finished bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < len(j.events) {
-		evs = make([]Event, len(j.events)-from)
-		copy(evs, j.events[from:])
+	log, state, body, meta, changed := j.events, j.state, j.body, j.meta, j.updated
+	j.mu.Unlock()
+	if state == StateComplete {
+		var env ResultEnvelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			// body is what EncodeResult wrote or loadLocked decoded, so
+			// this does not happen; if it did, end every stream with it.
+			return []Event{{Type: "error", Error: err.Error()}}, changed, true
+		}
+		log = completeLog(&env, meta)
 	}
-	return evs, j.updated, j.state.Terminal() && from+len(evs) == len(j.events)
+	if from < len(log) {
+		evs = make([]Event, len(log)-from)
+		copy(evs, log[from:])
+	}
+	return evs, changed, state.Terminal() && from+len(evs) == len(log)
 }
 
 // ErrDraining reports a submission rejected because the manager is
@@ -233,6 +247,11 @@ var ErrBusy = errors.New("jobs: job table full, retry later")
 // ErrNotFound reports an unknown job ID.
 var ErrNotFound = errors.New("jobs: unknown job")
 
+// traceSample is how many subject traces each job samples into its stream
+// and stored envelope. The reservoir is deterministic in the spec seed, so
+// sampled traces are part of the content-addressed result.
+const traceSample = 8
+
 // Config bounds a Manager.
 type Config struct {
 	// Store is the persistent cold tier; nil keeps results in memory only
@@ -245,11 +264,6 @@ type Config struct {
 	// Timeout bounds one job's compute; 0 means 10 minutes, negative
 	// disables.
 	Timeout time.Duration
-	// TraceSample is how many subject traces each job samples into its
-	// stream and stored envelope; 0 means 8, negative disables. The
-	// reservoir is deterministic in the spec seed, so sampled traces are
-	// part of the content-addressed result.
-	TraceSample int
 	// MaxJobs bounds the in-memory job table; 0 means 256. When the table
 	// is full, terminal jobs are evicted oldest-first (their results stay
 	// readable through the store); if every tracked job is still pending
@@ -263,12 +277,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 10 * time.Minute
-	}
-	if c.TraceSample == 0 {
-		c.TraceSample = 8
-	}
-	if c.TraceSample < 0 {
-		c.TraceSample = 0
 	}
 	if c.MaxJobs == 0 {
 		c.MaxJobs = 256
@@ -291,7 +299,6 @@ type Manager struct {
 	completed atomic.Int64
 	failed    atomic.Int64
 	running   atomic.Int64
-	storeHits atomic.Int64
 }
 
 // NewManager creates a manager.
@@ -443,24 +450,33 @@ func (m *Manager) loadLocked(digest string) *Job {
 		return j
 	}
 	m.trackLocked(j)
-	m.storeHits.Add(1)
 	return j
 }
 
-// synthesize rebuilds a completed job — including its replayable event
-// log, byte-for-byte what a live run would have streamed — from a stored
-// envelope.
+// synthesize rebuilds a completed job from a stored envelope.
 func synthesize(env *ResultEnvelope, body []byte, meta store.Meta) *Job {
 	j := newJob(env.ID, env.Scenario)
 	total := steps(env.Spec)
 	j.state = StateComplete
 	j.done, j.total = total, total
 	j.body, j.meta = body, meta
-	j.events = append([]Event{
-		{Type: "status", State: StateRunning, Done: 0, Total: total},
-	}, pointEvents(0, env.Points)...)
-	j.events = append(j.events, finalEvents(env.ID, env.Rounds, env.Trace, meta)...)
 	return j
+}
+
+// completeLog rebuilds a completed job's event log from its envelope:
+// byte-for-byte what the live run streamed, closed by its rounds, its
+// sampled traces, and done.
+func completeLog(env *ResultEnvelope, meta store.Meta) []Event {
+	evs := append([]Event{
+		{Type: "status", State: StateRunning, Done: 0, Total: steps(env.Spec)},
+	}, pointEvents(0, env.Points)...)
+	for i := range env.Rounds {
+		evs = append(evs, Event{Type: "round", Index: i, Round: &env.Rounds[i]})
+	}
+	for i := range env.Trace {
+		evs = append(evs, Event{Type: "trace", Trace: &env.Trace[i]})
+	}
+	return append(evs, Event{Type: "done", ID: env.ID, ETag: meta.ETag()})
 }
 
 // steps is how many progress steps a run of spec reports: one per sweep
@@ -482,19 +498,6 @@ func pointEvents(from int, pts []scenario.Point) []Event {
 		evs[i] = Event{Type: "point", Index: from + i, Point: &pts[i]}
 	}
 	return evs
-}
-
-// finalEvents close a completed run's log: its rounds, its sampled
-// traces, and done.
-func finalEvents(id string, rounds []scenario.RoundSummary, trace []telemetry.SubjectTrace, meta store.Meta) []Event {
-	evs := make([]Event, 0, len(rounds)+len(trace)+1)
-	for i := range rounds {
-		evs = append(evs, Event{Type: "round", Index: i, Round: &rounds[i]})
-	}
-	for i := range trace {
-		evs = append(evs, Event{Type: "trace", Trace: &trace[i]})
-	}
-	return append(evs, Event{Type: "done", ID: id, ETag: meta.ETag()})
 }
 
 // run executes one job on a worker slot.
@@ -535,7 +538,7 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	// zeroed Spec.Workers).
 	exe, err := Execute(ctx, norm, ExecOptions{
 		Faults:      opts.Faults,
-		TraceSample: m.cfg.TraceSample,
+		TraceSample: traceSample,
 		Report:      true,
 		Degraded:    opts.Degraded,
 		RequestedN:  opts.RequestedN,
@@ -545,11 +548,10 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	exe.Report.SpecDigest = opts.SpecDigest
 	// An encode failure yields an absent report, never a failed job.
 	reportBody, reportMeta, _ := encode(ReportKey(j.ID), exe.Report.Canonical())
-	trace := exe.Recorder.Traces()
 	var body []byte
 	var meta store.Meta
 	if err == nil {
-		body, meta, err = EncodeResult(j.ID, exe.Result, trace)
+		body, meta, err = EncodeResult(j.ID, exe.Result, exe.Recorder.Traces())
 	}
 	if err != nil {
 		m.failed.Add(1)
@@ -589,7 +591,8 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	j.done = total
 	j.body, j.meta = body, meta
 	j.reportBody, j.reportMeta = reportBody, reportMeta
-	j.append(finalEvents(j.ID, exe.Result.Rounds, trace, meta)...)
+	j.events = nil
+	j.signal()
 	j.mu.Unlock()
 }
 

@@ -2,11 +2,14 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
+	"hitl/internal/faults"
 	"hitl/internal/scenario"
 	_ "hitl/internal/scenario/all" // register the built-in scenarios
 	"hitl/internal/store"
@@ -358,6 +361,94 @@ func TestRestartSurvival(t *testing.T) {
 	}
 	if j3.Status().State != StateComplete {
 		t.Error("resubmitted job is not the completed one")
+	}
+}
+
+// TestLiveStreamMatchesCompleteLog follows a job's stream from submission
+// across completion, where the live log gives way to the log derived from
+// the result body, and checks the follower received exactly the completed
+// job's log. Injected latency keeps the job running long enough for part
+// of the stream to be read live.
+func TestLiveStreamMatchesCompleteLog(t *testing.T) {
+	m := NewManager(Config{Store: openStore(t)})
+	norm, digest := testSpec(t, 1)
+	const faultSpec = "latency:p=1,ms=2"
+	fs, err := faults.Parse(faultSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := m.Submit(norm, VariantID(digest, faultSpec), SubmitOptions{Faults: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var followed []Event
+	live := false
+	deadline := time.After(30 * time.Second)
+	for from := 0; ; {
+		evs, changed, finished := j.Watch(from)
+		if len(evs) > 0 && !j.Status().State.Terminal() {
+			live = true
+		}
+		followed = append(followed, evs...)
+		from += len(evs)
+		if finished {
+			break
+		}
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("job not terminal before deadline: %+v", j.Status())
+		}
+	}
+	if st := j.Status(); st.State != StateComplete {
+		t.Fatalf("state = %s (%s)", st.State, st.Error)
+	}
+	if !live {
+		t.Fatal("the job completed before any event was read live")
+	}
+	all, _, _ := j.Watch(0)
+	if got, want := evsJSON(t, followed), evsJSON(t, all); got != want {
+		t.Errorf("followed stream differs from the completed log:\nfollowed: %s\ncomplete: %s", got, want)
+	}
+}
+
+// TestCompletedJobOutlivesStoreOverwrite completes a job, then writes
+// other bytes under its digest, as another surface running the same spec
+// may: the job keeps serving its own body under its own ETag, and its
+// stream still ends in its own traces and done.
+func TestCompletedJobOutlivesStoreOverwrite(t *testing.T) {
+	st := openStore(t)
+	m := NewManager(Config{Store: st})
+	norm, digest := testSpec(t, 0)
+	j, _, err := m.Submit(norm, digest, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitComplete(t, j); got.State != StateComplete {
+		t.Fatalf("state = %s (%s)", got.State, got.Error)
+	}
+	body, meta, _ := j.Result()
+	log, _, _ := j.Watch(0)
+	if _, err := st.Put(digest, []byte("{\"id\":\"someone else's envelope\"}\n")); err != nil {
+		t.Fatal(err)
+	}
+	got, gotMeta, ok := j.Result()
+	sum := sha256.Sum256(got)
+	if !ok || string(got) != string(body) || gotMeta != meta || hex.EncodeToString(sum[:]) != meta.SHA256 {
+		t.Fatalf("after the overwrite Result = %.60q (etag %s), want the job's own body (etag %s)", got, gotMeta.ETag(), meta.ETag())
+	}
+	after, _, finished := j.Watch(0)
+	if !finished || evsJSON(t, after) != evsJSON(t, log) {
+		t.Fatalf("after the overwrite the stream differs:\n got: %s\nwant: %s", evsJSON(t, after), evsJSON(t, log))
+	}
+	traces := 0
+	for _, ev := range after {
+		if ev.Type == "trace" {
+			traces++
+		}
+	}
+	if last := after[len(after)-1]; traces != traceSample || last.Type != "done" || last.ETag != meta.ETag() {
+		t.Fatalf("stream has %d traces and ends in %+v, want %d traces and done with etag %s", traces, last, traceSample, meta.ETag())
 	}
 }
 

@@ -25,10 +25,8 @@ import (
 
 // receiverPool hands each worker a reusable receiver: Reset replaces
 // NewReceiver's per-subject allocations on the Monte Carlo hot path.
-// Collect opts the pooled receivers into trace capture, which scenarios
-// enable only when a trace recorder is attached to the run's context.
-func receiverPool(collect bool) *sync.Pool {
-	return &sync.Pool{New: func() any { return &agent.Receiver{CollectTrace: collect} }}
+func receiverPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return &agent.Receiver{} }}
 }
 
 // Condition is one experimental arm: a warning design plus optional
@@ -106,13 +104,16 @@ func (s Study) Run(ctx context.Context) (StudyResult, error) {
 		return StudyResult{}, fmt.Errorf("phishing: %w", err)
 	}
 	runner := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}
-	// Traces are only materialized when a recorder will sample them.
-	pool := receiverPool(telemetry.RecorderFromContext(ctx) != nil)
+	// A subject's trace is materialized only when the run's recorder can
+	// still sample it: a handful of subjects per run, not every one.
+	rec := telemetry.RecorderFromContext(ctx)
+	pool := receiverPool()
 	res, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
 		prof := s.Population.Sample(rng)
 		r := pool.Get().(*agent.Receiver)
 		defer pool.Put(r)
 		r.Reset(prof)
+		r.CollectTrace = rec.Admits(s.Seed, i)
 		if s.Condition.PreTrained {
 			r.Train(s.Condition.Warning.Topic, agent.Skill{
 				Level: 0.85, Interactivity: 0.85, AcquiredDay: 0,
@@ -332,7 +333,7 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 	// The campaign synthesizes its own Outcome from many encounters, so it
 	// never collects per-encounter traces; pooled receivers keep the
 	// multi-day loop allocation-free.
-	pool := receiverPool(false)
+	pool := receiverPool()
 	res, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
 		prof := c.Population.Sample(rng)
 		// Targeted volume: susceptible subjects (low expertise) see more

@@ -3,11 +3,13 @@ package phishing
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hitl/internal/agent"
 	"hitl/internal/population"
 	"hitl/internal/stimuli"
+	"hitl/internal/telemetry"
 )
 
 func TestStandardConditionsValid(t *testing.T) {
@@ -150,6 +152,33 @@ func TestStudyDeterministic(t *testing.T) {
 	}
 	if a.Run.Heed != b.Run.Heed {
 		t.Error("study not reproducible for identical seeds")
+	}
+}
+
+// TestStudyTracesIndependentOfWorkers: a traced study records stage
+// checks only for subjects the recorder can still sample. Every sampled
+// trace must carry its checks, and the sample must not depend on how
+// many workers raced to offer it.
+func TestStudyTracesIndependentOfWorkers(t *testing.T) {
+	sample := func(workers int) []telemetry.SubjectTrace {
+		rec := telemetry.NewRecorder(8, 5)
+		ctx := telemetry.WithRecorder(context.Background(), rec)
+		if _, err := (Study{Condition: StandardConditions()[0], N: 2000, Seed: 3, Workers: workers}).Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Traces()
+	}
+	serial, parallel := sample(1), sample(4)
+	if len(serial) != 8 {
+		t.Fatalf("sampled %d traces, want 8", len(serial))
+	}
+	for _, tr := range serial {
+		if len(tr.Checks) == 0 {
+			t.Errorf("sampled subject %d carries no stage checks", tr.Subject)
+		}
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("sampled traces depend on worker count")
 	}
 }
 

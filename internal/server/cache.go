@@ -33,7 +33,7 @@ import (
 type resultCache struct {
 	mu       sync.Mutex
 	max      int
-	maxBytes int64 // <= 0: no byte bound
+	maxBytes int64
 	curBytes int64
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
@@ -83,7 +83,7 @@ func (c *resultCache) get(key string) (body []byte, engine string, ok bool) {
 func (c *resultCache) put(key string, body []byte, engine string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.maxBytes > 0 && int64(len(body)) > c.maxBytes {
+	if int64(len(body)) > c.maxBytes {
 		return // admitting it would evict the entire cache for one entry
 	}
 	if el, ok := c.items[key]; ok {
@@ -96,7 +96,7 @@ func (c *resultCache) put(key string, body []byte, engine string) {
 		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, engine: engine})
 		c.curBytes += int64(len(body))
 	}
-	for c.ll.Len() > c.max || (c.maxBytes > 0 && c.curBytes > c.maxBytes) {
+	for c.ll.Len() > c.max || c.curBytes > c.maxBytes {
 		oldest := c.ll.Back()
 		if oldest == nil {
 			break

@@ -73,9 +73,9 @@ func (s *Server) decodeScenarioSpec(w http.ResponseWriter, r *http.Request) (sce
 		}
 		return scenario.Spec{}, false
 	}
-	if norm.N > s.cfg.MaxSubjects {
+	if norm.N > maxSubjects {
 		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("n=%d above the server cap %d", norm.N, s.cfg.MaxSubjects),
+			"error": fmt.Sprintf("n=%d above the server cap %d", norm.N, maxSubjects),
 			"field": "n",
 		})
 		return scenario.Spec{}, false

@@ -102,13 +102,18 @@ const statusClientClosedRequest = 499
 // the handler can report the effective pass count when none was requested.
 const defaultProcessPasses = 2
 
+// maxSubjects caps the per-arm subject count for experiment runs and the
+// subject count of a synchronous scenario run.
+const maxSubjects = 20000
+
+// cacheMaxBytes bounds the total bytes of cached response bodies, so one
+// multi-megabyte sweep body cannot masquerade as a single cheap entry.
+const cacheMaxBytes = 64 << 20
+
 // Config bounds the server's work.
 type Config struct {
 	// MaxBodyBytes caps request bodies; default 1 MiB.
 	MaxBodyBytes int64
-	// MaxSubjects caps the per-arm subject count for experiment runs;
-	// default 20000.
-	MaxSubjects int
 	// MaxProcessPasses caps the Figure 2 iteration count; default 4.
 	MaxProcessPasses int
 	// MaxTraceSample caps the ?trace_sample=K reservoir size on experiment
@@ -119,11 +124,6 @@ type Config struct {
 	// are answered from memory; responses carry an X-Cache hit/miss
 	// header. 0 means the default (128); negative disables caching.
 	CacheSize int
-	// CacheMaxBytes bounds the total bytes of cached response bodies, so
-	// one multi-megabyte sweep body cannot masquerade as a single cheap
-	// entry. 0 means the default (64 MiB); negative disables the byte
-	// bound (entry count only).
-	CacheMaxBytes int64
 	// MaxInFlight caps concurrently executing compute (POST) requests.
 	// 0 means the default (2x GOMAXPROCS, at least 4); negative disables
 	// admission control entirely.
@@ -143,7 +143,7 @@ type Config struct {
 	// recent shed; default 10s.
 	DegradeWindow time.Duration
 	// DegradedMaxSubjects clamps experiment subject counts while degraded.
-	// 0 means the default (MaxSubjects/8, at least 1).
+	// 0 means the default (2500, an eighth of the 20000-subject cap).
 	DegradedMaxSubjects int
 	// AllowFaults enables the ?faults= query parameter on experiment runs.
 	// Off by default: fault injection is an operator drill, not a public
@@ -159,13 +159,6 @@ type Config struct {
 	// JobTimeout bounds one job's compute; 0 means the manager default
 	// (10 minutes), negative disables.
 	JobTimeout time.Duration
-	// JobTraceSample is how many subject traces each job samples into its
-	// stream and stored result; 0 means the manager default (8), negative
-	// disables.
-	JobTraceSample int
-	// MaxJobs bounds the in-memory job table; 0 means the manager default
-	// (256). Overflow of live (pending/running) jobs is shed with 429.
-	MaxJobs int
 	// Cluster configures the coordinator role. When Cluster.Workers is
 	// non-empty the server builds a cluster.Coordinator over that pool,
 	// starts its health prober, and mounts POST /v1/cluster/run; without
@@ -180,9 +173,6 @@ func (c *Config) setDefaults() {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxSubjects == 0 {
-		c.MaxSubjects = 20000
-	}
 	if c.MaxProcessPasses == 0 {
 		c.MaxProcessPasses = 4
 	}
@@ -191,9 +181,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 128
-	}
-	if c.CacheMaxBytes == 0 {
-		c.CacheMaxBytes = 64 << 20
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
@@ -214,10 +201,7 @@ func (c *Config) setDefaults() {
 		c.DegradeWindow = 10 * time.Second
 	}
 	if c.DegradedMaxSubjects == 0 {
-		c.DegradedMaxSubjects = c.MaxSubjects / 8
-		if c.DegradedMaxSubjects < 1 {
-			c.DegradedMaxSubjects = 1
-		}
+		c.DegradedMaxSubjects = maxSubjects / 8
 	}
 }
 
@@ -245,7 +229,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), metrics: newMetricsRegistry(), log: log}
 	if cfg.CacheSize > 0 {
-		s.cache = newResultCache(cfg.CacheSize, cfg.CacheMaxBytes)
+		s.cache = newResultCache(cfg.CacheSize, cacheMaxBytes)
 	}
 	s.overload = newOverload(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, cfg.DegradeWindow)
 	if cfg.StoreDir != "" {
@@ -261,11 +245,9 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.jobs = jobs.NewManager(jobs.Config{
-		Store:       s.store,
-		Workers:     cfg.JobWorkers,
-		Timeout:     cfg.JobTimeout,
-		TraceSample: cfg.JobTraceSample,
-		MaxJobs:     cfg.MaxJobs,
+		Store:   s.store,
+		Workers: cfg.JobWorkers,
+		Timeout: cfg.JobTimeout,
 	})
 	// A shed client retrying after the queue deadline has a fresh full
 	// wait ahead of it; round the hint up to whole seconds, at least 1.
@@ -731,9 +713,9 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("missing experiment id"))
 		return
 	}
-	if req.N < 0 || req.N > s.cfg.MaxSubjects {
+	if req.N < 0 || req.N > maxSubjects {
 		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("n=%d out of [0, %d]", req.N, s.cfg.MaxSubjects))
+			fmt.Errorf("n=%d out of [0, %d]", req.N, maxSubjects))
 		return
 	}
 	if req.Seed == 0 {

@@ -22,16 +22,13 @@ type PhaseTimes struct {
 	MergeSeconds   float64 `json:"merge_seconds"`
 }
 
-// add accumulates phase times across engine runs (sweeps and episodes
-// fold many runs into one report).
-func (p *PhaseTimes) add(q PhaseTimes) {
+// Add accumulates phase times across engine runs (episodes and report
+// builders fold many runs into one report).
+func (p *PhaseTimes) Add(q PhaseTimes) {
 	p.SetupSeconds += q.SetupSeconds
 	p.ComputeSeconds += q.ComputeSeconds
 	p.MergeSeconds += q.MergeSeconds
 }
-
-// Add is the exported accumulator used by report builders outside sim.
-func (p *PhaseTimes) Add(q PhaseTimes) { p.add(q) }
 
 // EngineReport is one Run call's diagnostic account: what was asked for,
 // what actually ran, where the time went, and how it ended. Everything

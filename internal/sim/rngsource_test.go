@@ -5,67 +5,12 @@ import (
 	"testing"
 )
 
-// TestFastSourceMatchesStdlib locks down the engine's core determinism
-// claim: fastSource produces exactly the stream of rand.NewSource for any
-// seed, so pooled re-seeding reproduces SubjectRand's historical streams
+// TestJumpSourceMatchesStdlib locks down the engine's core determinism
+// claim: the lazily-materialized jump source produces exactly the stream of
+// rand.NewSource at every seed, across state-cycle wrap-around (where
+// half-materialized state words meet written-back ones) and across
+// re-seeding, so per-worker re-seeding reproduces SubjectRand's streams
 // bit-for-bit.
-func TestFastSourceMatchesStdlib(t *testing.T) {
-	seeds := []int64{0, 1, -1, 89482311, 20080124, 1 << 40, -(1 << 40), int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1}
-	pick := rand.New(rand.NewSource(12345))
-	for i := 0; i < 50; i++ {
-		seeds = append(seeds, pick.Int63()-pick.Int63())
-	}
-
-	fast := &fastSource{}
-	for _, seed := range seeds {
-		std := rand.NewSource(seed).(rand.Source64)
-		fast.Seed(seed)
-		// Cover more than a full 607-word state cycle so the feedback
-		// path is exercised, not just the freshly seeded words.
-		for i := 0; i < 2000; i++ {
-			if got, want := fast.Uint64(), std.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: fastSource.Uint64() = %d, stdlib = %d", seed, i, got, want)
-			}
-		}
-	}
-
-	// Through rand.New, derived draws (Float64, NormFloat64, Intn) must
-	// match too — these are what scenarios actually consume.
-	for _, seed := range seeds[:8] {
-		fast.Seed(seed)
-		a := rand.New(fast)
-		b := rand.New(rand.NewSource(seed))
-		for i := 0; i < 500; i++ {
-			if x, y := a.Float64(), b.Float64(); x != y {
-				t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, x, y)
-			}
-			if x, y := a.NormFloat64(), b.NormFloat64(); x != y {
-				t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, x, y)
-			}
-			if x, y := a.Intn(97), b.Intn(97); x != y {
-				t.Fatalf("seed %d draw %d: Intn %d != %d", seed, i, x, y)
-			}
-		}
-	}
-
-	// Re-seeding a used source must be indistinguishable from a fresh one.
-	fast.Seed(7)
-	for i := 0; i < 1000; i++ {
-		fast.Uint64()
-	}
-	fast.Seed(42)
-	std := rand.NewSource(42).(rand.Source64)
-	for i := 0; i < 1000; i++ {
-		if got, want := fast.Uint64(), std.Uint64(); got != want {
-			t.Fatalf("re-seeded draw %d: %d != %d", i, got, want)
-		}
-	}
-}
-
-// TestJumpSourceMatchesStdlib holds the lazily-materialized jump source to
-// the same standard: bit-identical streams to rand.NewSource at every
-// seed, across state-cycle wrap-around (where half-materialized state
-// words meet written-back ones) and across re-seeding.
 func TestJumpSourceMatchesStdlib(t *testing.T) {
 	seeds := []int64{0, 1, -1, 89482311, 20080124, 1 << 40, -(1 << 40), int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1}
 	pick := rand.New(rand.NewSource(54321))
@@ -122,16 +67,23 @@ func TestJumpSourceMatchesStdlib(t *testing.T) {
 		}
 	}
 
-	// The jump source must agree with fastSource too (the interpreted
-	// path's eager implementation) — they are two implementations of one
-	// stream contract.
-	fast := &fastSource{}
-	for _, seed := range seeds[:12] {
-		jump.Seed(seed)
-		fast.Seed(seed)
-		for i := 0; i < 700; i++ {
-			if got, want := jump.Uint64(), fast.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: jumpSource %d != fastSource %d", seed, i, got, want)
+}
+
+// TestSubjectRandMatchesStdlib pins the replay contract: SubjectRand(seed,
+// i) is the stream rand.New(rand.NewSource(splitmix64(seed, i))), so one
+// subject of any run can be reproduced with the standard library alone.
+func TestSubjectRandMatchesStdlib(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, 20080124, -(1 << 40)} {
+		for _, i := range []int{0, 1, 2, 999, 123456} {
+			got := SubjectRand(seed, i)
+			want := rand.New(rand.NewSource(splitmix64(seed, i)))
+			for d := 0; d < 200; d++ {
+				if x, y := got.Float64(), want.Float64(); x != y {
+					t.Fatalf("seed %d subject %d draw %d: Float64 %v != %v", seed, i, d, x, y)
+				}
+				if x, y := got.Intn(1000), want.Intn(1000); x != y {
+					t.Fatalf("seed %d subject %d draw %d: Intn %d != %d", seed, i, d, x, y)
+				}
 			}
 		}
 	}

@@ -172,11 +172,11 @@ func splitmix64(seed int64, i int) int64 {
 
 // SubjectRand returns the deterministic random stream for subject i of a
 // run seeded with seed. Exposed so scenarios can pre-sample population
-// profiles consistently with Run. The stream is bit-identical to
-// rand.New(rand.NewSource(splitmix64(seed, i))) but seeds about twice as
-// fast (see fastSource).
+// profiles consistently with Run, and so a single subject can be replayed.
+// The stream is bit-identical to rand.New(rand.NewSource(splitmix64(seed,
+// i))) but seeds in O(1) (see jumpSource).
 func SubjectRand(seed int64, i int) *rand.Rand {
-	src := &fastSource{}
+	src := &jumpSource{}
 	src.Seed(splitmix64(seed, i))
 	return rand.New(src)
 }
@@ -389,25 +389,14 @@ func (ru Runner) aggregate(shards []shard) *Result {
 // and histograms (subjects, stage failures, run duration, throughput) are
 // always recorded; they cost a handful of atomic adds per run.
 func (ru Runner) Run(ctx context.Context, f SubjectFunc) (*Result, error) {
-	return ru.run(ctx, f, EngineInterpreted, newFastSource)
+	return ru.run(ctx, f, EngineInterpreted)
 }
-
-// newFastSource and newJumpSource are the per-worker stream constructors
-// for the two engine paths. Both sources emit bit-identical streams to
-// rand.NewSource, so the choice never changes results — only how much
-// seeding work each subject pays. The interpreted path keeps the
-// eagerly-seeded fastSource as the plain reference implementation; the
-// compiled path uses the lazily-materialized jumpSource, whose O(1)
-// reseed is the dominant share of its speedup.
-func newFastSource() rand.Source64 { return &fastSource{} }
-func newJumpSource() rand.Source64 { return &jumpSource{} }
 
 // run is the engine shared by the interpreted (Run) and compiled
 // (RunProgram) paths. path names the engine path for pprof labels and the
-// EngineReport; newSource builds each worker's reseedable subject-stream
-// generator. Scheduling, containment, and aggregation are identical for
-// both paths.
-func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource func() rand.Source64) (*Result, error) {
+// EngineReport. Scheduling, subject streams, containment, and aggregation
+// are identical for both paths.
+func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -470,7 +459,7 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource 
 				// One reseedable generator per worker: Seed re-derives the
 				// exact stream SubjectRand would return for the subject,
 				// without allocating a fresh source per subject.
-				src := newSource()
+				src := &jumpSource{}
 				rng := rand.New(src)
 				for {
 					if runCtx.Err() != nil {

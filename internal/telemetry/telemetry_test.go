@@ -186,10 +186,33 @@ func TestRecorderUnderCapacityKeepsAll(t *testing.T) {
 	}
 }
 
+// TestRecorderAdmitsPredictsConsider offers subjects in order and checks
+// that Admits, asked just before each offer, is true exactly for the
+// subjects whose trace Consider builds: a subject Admits rejects is never
+// kept, so a run may skip recording it.
+func TestRecorderAdmitsPredictsConsider(t *testing.T) {
+	rec := NewRecorder(8, 5)
+	admitted := 0
+	for i := 0; i < 500; i++ {
+		admits := rec.Admits(3, i)
+		built := false
+		rec.Consider(3, i, func() SubjectTrace { built = true; return makeTrace(3, i) })
+		if admits != built {
+			t.Fatalf("subject %d: Admits = %v, but Consider built = %v", i, admits, built)
+		}
+		if admits {
+			admitted++
+		}
+	}
+	if admitted < 8 || admitted > 100 {
+		t.Errorf("%d of 500 subjects admitted, want the first 8 and a few more", admitted)
+	}
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var rec *Recorder
 	rec.Offer(makeTrace(1, 1))
-	if rec.Traces() != nil || rec.Cap() != 0 || rec.Offered() != 0 {
+	if rec.Traces() != nil || rec.Cap() != 0 || rec.Offered() != 0 || rec.Admits(1, 1) {
 		t.Error("nil recorder must be inert")
 	}
 }

@@ -146,6 +146,20 @@ func (r *Recorder) Consider(runSeed int64, subject int, build func() SubjectTrac
 	}
 }
 
+// Admits reports whether the subject identified by (runSeed, subject)
+// would win a reservoir slot if offered now. The threshold only tightens,
+// so a subject it rejects is never kept, and a run can skip recording that
+// subject's trajectory at all. A nil recorder admits nothing.
+func (r *Recorder) Admits(runSeed int64, subject int) bool {
+	if r == nil {
+		return false
+	}
+	p := r.priority(runSeed, subject)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.kept) < r.k || p < r.kept[0].priority
+}
+
 // Traces returns the sampled traces ordered by (seed, subject index).
 func (r *Recorder) Traces() []SubjectTrace {
 	if r == nil {
